@@ -31,9 +31,12 @@ from .headers import (
     ParseError,
     REPORT_MEDIA_TYPE,
     Removal,
-    parse_nel_header,
+    group_from_dict,
+    group_to_dict,
     parse_report_batch,
-    parse_report_to_header,
+    policy_from_dict,
+    policy_to_dict,
+    report_to_dict,
     serialize_nel_header,
     serialize_report_to_header,
 )
@@ -72,12 +75,14 @@ class CollectorConfig:
     def __post_init__(self):
         if self.ip_mode not in IP_MODES:
             raise ValueError(f"unknown ip_mode {self.ip_mode!r}")
-        if (self.emit_nel is None) != (self.emit_report_to is None):
+        if (self.emit_nel is None) != (not self.emit_report_to):
             raise ValueError("emit_nel_headers needs both a policy and groups")
 
     @classmethod
     def from_dict(cls, data: dict) -> "CollectorConfig":
-        retention = data.get("retention", None)
+        """Load a config document; unknown members raise ``TypeError``."""
+        data = {**data}
+        retention = data.pop("retention", None)
         if retention in (None, "infinite"):
             retention_seconds = None
         elif isinstance(retention, int) and not isinstance(retention, bool) and retention >= 0:
@@ -87,29 +92,17 @@ class CollectorConfig:
 
         emit_nel = None
         emit_report_to = None
-        emit = data.get("emit_nel_headers")
+        emit = data.pop("emit_nel_headers", None)
         if emit is not None:
-            parsed = parse_nel_header(json.dumps(emit["nel"]))
-            if isinstance(parsed, Removal):
+            emit_nel = policy_from_dict(emit["nel"])
+            if isinstance(emit_nel, Removal):
                 raise ValueError("emit_nel_headers must carry a storable policy")
-            emit_nel = parsed
             groups = emit["report_to"]
-            if isinstance(groups, dict):
-                groups = [groups]
-            emit_report_to = parse_report_to_header(
-                ", ".join(json.dumps(g) for g in groups))
+            emit_report_to = [group_from_dict(g) for g in
+                              (groups if isinstance(groups, list) else [groups])]
 
-        return cls(
-            listen=data.get("listen", "127.0.0.1:9390"),
-            ip_mode=data.get("ip_mode", "volatile"),
-            strip_url_query=data.get("strip_url_query", True),
-            drop_captured_headers=data.get("drop_captured_headers", True),
-            retention_seconds=retention_seconds,
-            emit_nel=emit_nel,
-            emit_report_to=emit_report_to,
-            log_path=data.get("log_path"),
-            warn_on_success_reports=data.get("warn_on_success_reports", False),
-        )
+        return cls(**data, retention_seconds=retention_seconds, emit_nel=emit_nel,
+                   emit_report_to=emit_report_to)
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -122,11 +115,8 @@ class CollectorConfig:
         }
         if self.emit_nel is not None:
             data["emit_nel_headers"] = {
-                "nel": json.loads(serialize_nel_header(self.emit_nel)),
-                "report_to": [
-                    json.loads(chunk) for chunk in
-                    serialize_report_to_header(self.emit_report_to or []).split(", ")
-                ],
+                "nel": policy_to_dict(self.emit_nel),
+                "report_to": [group_to_dict(g) for g in self.emit_report_to or []],
             }
         if self.log_path is not None:
             data["log_path"] = self.log_path
@@ -198,7 +188,7 @@ class StoredRecord:
     def to_dict(self) -> dict:
         return {
             "received_at": self.received_at,
-            "report": self.report.to_dict(),
+            "report": report_to_dict(self.report),
             "client_ip": self.client_ip,
             "user_agent": self.user_agent,
         }
@@ -304,7 +294,13 @@ class _CollectorHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         collector: Collector = self.server.collector  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            # The body's extent is unknown, so the connection cannot be reused.
+            self._respond(400)
+            self.close_connection = True
+            return
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             # Drain modestly oversized bodies so the client can read the 413
             # instead of dying on a broken pipe; beyond the cap, just close.
@@ -317,11 +313,13 @@ class _CollectorHandler(BaseHTTPRequestHandler):
             self._respond(413)
             self.close_connection = True
             return
+        # Read the body before any other answer, so the next request on a
+        # keep-alive connection starts at the right offset.
+        body = self.rfile.read(length)
         content_type = self.headers.get("Content-Type", "")
         if not content_type.startswith(REPORT_MEDIA_TYPE):
             self._respond(400)
             return
-        body = self.rfile.read(length)
         try:
             collector.ingest(body, self.client_address[0],
                              self.headers.get("User-Agent", ""),

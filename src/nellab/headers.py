@@ -6,6 +6,10 @@ strict about member types and value ranges but ignores unknown members, so
 the codec stays total on real-world headers. Serialization omits members
 that equal their defaults; parsing fills the defaults back in, so
 serialize/parse round-trips are exact.
+
+Each shape (NEL policy, Report-To group, report) has one dict-level pair,
+``*_to_dict``/``*_from_dict``; the string codecs only wrap them in JSON, and
+the collector config and policy-store snapshots use them directly.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class Removal:
 REMOVAL = Removal()
 
 
-@dataclass
+@dataclass(frozen=True)
 class NelPolicyHeader:
     """A parsed ``NEL`` header value."""
 
@@ -70,7 +74,7 @@ class NelPolicyHeader:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]")
-            setattr(self, name, float(value))
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,7 @@ class Endpoint:
             raise ValueError("weight must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndpointGroup:
     """A parsed ``Report-To`` group: a named set of collector endpoints."""
 
@@ -123,21 +127,6 @@ class ReportBody:
     phase: str
     type: str
 
-    def to_dict(self) -> dict:
-        return {
-            "sampling_fraction": self.sampling_fraction,
-            "referrer": self.referrer,
-            "server_ip": self.server_ip,
-            "protocol": self.protocol,
-            "method": self.method,
-            "request_headers": dict(self.request_headers),
-            "response_headers": dict(self.response_headers),
-            "status_code": self.status_code,
-            "elapsed_time": self.elapsed_time,
-            "phase": self.phase,
-            "type": self.type,
-        }
-
 
 @dataclass
 class NelReport:
@@ -148,86 +137,35 @@ class NelReport:
     body: ReportBody
     type: str = "network-error"
 
-    def to_dict(self) -> dict:
-        return {
-            "age": self.age,
-            "type": self.type,
-            "url": self.url,
-            "body": self.body.to_dict(),
-        }
-
 
 def _check_size(raw: str) -> None:
     if len(raw.encode("utf-8")) > MAX_HEADER_BYTES:
         raise ParseError(f"header value exceeds {MAX_HEADER_BYTES} bytes")
 
 
-def _member(obj: dict, name: str, kind, default=None, required=False):
-    """Fetch and type-check one JSON member; bool is never a number."""
+_REQUIRED = object()
+
+
+def _member(obj: dict, name: str, kind, default=_REQUIRED, index: int | None = None):
+    """Fetch and type-check one JSON member; bool is never a number.
+
+    A member without a ``default`` is required. Errors carry ``index``.
+    """
     if name not in obj:
-        if required:
-            raise ParseError(f"missing required member {name!r}")
+        if default is _REQUIRED:
+            raise ParseError(f"missing required member {name!r}", index)
         return default
     value = obj[name]
-    if isinstance(value, bool) and kind is not bool:
-        raise ParseError(f"member {name!r} has wrong type")
-    if not isinstance(value, kind):
-        raise ParseError(f"member {name!r} has wrong type")
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ParseError(f"member {name!r} has wrong type", index)
     return value
 
 
-def parse_nel_header(raw: str) -> NelPolicyHeader | Removal:
-    """Parse a ``NEL`` header value.
-
-    Returns :data:`REMOVAL` when the value carries ``max_age`` 0; the
-    removal signal is honored regardless of other members, since nothing is
-    going to be stored. Raises :class:`ParseError` on malformed JSON, wrong
-    member types, fractions outside [0, 1], negative max_age, or a missing
-    report_to when max_age > 0.
-    """
-    _check_size(raw)
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ParseError("header value must be one JSON object")
-
-    max_age = _member(obj, "max_age", int, required=True)
-    if max_age < 0:
-        raise ParseError("max_age must be non-negative")
-    if max_age == 0:
-        return REMOVAL
-
-    report_to = _member(obj, "report_to", str, required=True)
-    include_subdomains = _member(obj, "include_subdomains", bool, default=False)
-    success_fraction = _member(obj, "success_fraction", (int, float), default=0.0)
-    failure_fraction = _member(obj, "failure_fraction", (int, float), default=1.0)
-    for name, value in (("success_fraction", success_fraction),
-                        ("failure_fraction", failure_fraction)):
-        if not 0.0 <= value <= 1.0:
-            raise ParseError(f"{name} outside [0, 1]")
-
-    captures = {}
-    for name in ("request_headers", "response_headers"):
-        values = _member(obj, name, list, default=[])
-        if not all(isinstance(v, str) for v in values):
-            raise ParseError(f"member {name!r} must be a list of header names")
-        captures[name] = list(values)
-
-    return NelPolicyHeader(
-        report_to=report_to,
-        max_age=max_age,
-        include_subdomains=include_subdomains,
-        success_fraction=float(success_fraction),
-        failure_fraction=float(failure_fraction),
-        request_headers=captures["request_headers"],
-        response_headers=captures["response_headers"],
-    )
+# -- NEL policy -----------------------------------------------------------------
 
 
-def serialize_nel_header(policy: NelPolicyHeader) -> str:
-    """Serialize a policy back to a ``NEL`` header value, omitting defaults."""
+def policy_to_dict(policy: NelPolicyHeader) -> dict:
+    """The JSON object of a ``NEL`` policy, omitting members at their defaults."""
     obj: dict = {"report_to": policy.report_to, "max_age": policy.max_age}
     if policy.include_subdomains:
         obj["include_subdomains"] = True
@@ -236,41 +174,104 @@ def serialize_nel_header(policy: NelPolicyHeader) -> str:
     if policy.failure_fraction != 1.0:
         obj["failure_fraction"] = policy.failure_fraction
     if policy.request_headers:
-        obj["request_headers"] = policy.request_headers
+        obj["request_headers"] = list(policy.request_headers)
     if policy.response_headers:
-        obj["response_headers"] = policy.response_headers
-    return json.dumps(obj, separators=(",", ":"))
+        obj["response_headers"] = list(policy.response_headers)
+    return obj
 
 
-REMOVAL_HEADER = '{"max_age":0}'
+def policy_from_dict(obj) -> NelPolicyHeader | Removal:
+    """Validate a ``NEL`` policy object; the inverse of :func:`policy_to_dict`.
+
+    Returns :data:`REMOVAL` when the object carries ``max_age`` 0; the
+    removal signal is honored regardless of other members, since nothing is
+    going to be stored. Raises :class:`ParseError` on wrong member types,
+    fractions outside [0, 1], negative max_age, or a missing report_to when
+    max_age > 0.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError("policy must be one JSON object")
+    max_age = _member(obj, "max_age", int)
+    if max_age == 0:
+        return REMOVAL
+
+    captures = {}
+    for name in ("request_headers", "response_headers"):
+        values = _member(obj, name, list, default=[])
+        if not all(isinstance(v, str) for v in values):
+            raise ParseError(f"member {name!r} must be a list of header names")
+        captures[name] = list(values)
+
+    try:
+        return NelPolicyHeader(
+            report_to=_member(obj, "report_to", str),
+            max_age=max_age,
+            include_subdomains=_member(obj, "include_subdomains", bool, default=False),
+            success_fraction=_member(obj, "success_fraction", (int, float), default=0.0),
+            failure_fraction=_member(obj, "failure_fraction", (int, float), default=1.0),
+            request_headers=captures["request_headers"],
+            response_headers=captures["response_headers"],
+        )
+    except ValueError as exc:  # the dataclass checks max_age and the fractions
+        raise ParseError(str(exc)) from None
 
 
-def _parse_group(obj: dict) -> EndpointGroup:
-    name = _member(obj, "group", str, default="default")
-    max_age = _member(obj, "max_age", int, required=True)
-    if max_age < 0:
-        raise ParseError("max_age must be non-negative")
-    include_subdomains = _member(obj, "include_subdomains", bool, default=False)
-    raw_endpoints = _member(obj, "endpoints", list, required=True)
-    if not raw_endpoints:
-        raise ParseError("endpoints list must not be empty")
+def parse_nel_header(raw: str) -> NelPolicyHeader | Removal:
+    """Parse a ``NEL`` header value with :func:`policy_from_dict`."""
+    _check_size(raw)
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    return policy_from_dict(obj)
+
+
+def serialize_nel_header(policy: NelPolicyHeader) -> str:
+    """Serialize a policy back to a ``NEL`` header value, omitting defaults."""
+    return json.dumps(policy_to_dict(policy), separators=(",", ":"))
+
+
+# -- Report-To group --------------------------------------------------------------
+
+
+def group_to_dict(group: EndpointGroup) -> dict:
+    """The JSON object of a ``Report-To`` group, omitting members at their defaults."""
     endpoints = []
-    for entry in raw_endpoints:
-        if not isinstance(entry, dict):
-            raise ParseError("endpoint entry must be a JSON object")
-        url = _member(entry, "url", str, required=True)
-        priority = _member(entry, "priority", int, default=1)
-        weight = _member(entry, "weight", int, default=1)
-        try:
-            endpoints.append(Endpoint(url=url, priority=priority, weight=weight))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    return EndpointGroup(
-        name=name,
-        max_age=max_age,
-        endpoints=endpoints,
-        include_subdomains=include_subdomains,
-    )
+    for ep in group.endpoints:
+        entry: dict = {"url": ep.url}
+        if ep.priority != 1:
+            entry["priority"] = ep.priority
+        if ep.weight != 1:
+            entry["weight"] = ep.weight
+        endpoints.append(entry)
+    obj: dict = {"group": group.name, "max_age": group.max_age}
+    if group.include_subdomains:
+        obj["include_subdomains"] = True
+    obj["endpoints"] = endpoints
+    return obj
+
+
+def group_from_dict(obj) -> EndpointGroup:
+    """Validate a ``Report-To`` group object; the inverse of :func:`group_to_dict`."""
+    if not isinstance(obj, dict):
+        raise ParseError("group value must be a JSON object")
+    try:
+        endpoints = []
+        for entry in _member(obj, "endpoints", list):
+            if not isinstance(entry, dict):
+                raise ParseError("endpoint entry must be a JSON object")
+            endpoints.append(Endpoint(
+                url=_member(entry, "url", str),
+                priority=_member(entry, "priority", int, default=1),
+                weight=_member(entry, "weight", int, default=1)))
+        return EndpointGroup(
+            name=_member(obj, "group", str, default="default"),
+            max_age=_member(obj, "max_age", int),
+            endpoints=endpoints,
+            include_subdomains=_member(obj, "include_subdomains", bool, default=False),
+        )
+    except ValueError as exc:  # the dataclasses check URLs, ranges and emptiness
+        raise ParseError(str(exc)) from None
 
 
 def parse_report_to_header(raw: str) -> list[EndpointGroup]:
@@ -289,9 +290,7 @@ def parse_report_to_header(raw: str) -> list[EndpointGroup]:
             obj, pos = decoder.raw_decode(raw, pos)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ParseError("group value must be a JSON object")
-        groups.append(_parse_group(obj))
+        groups.append(group_from_dict(obj))
         while pos < length and raw[pos] in " \t":
             pos += 1
         if pos < length:
@@ -305,22 +304,77 @@ def parse_report_to_header(raw: str) -> list[EndpointGroup]:
 
 def serialize_report_to_header(groups: list[EndpointGroup]) -> str:
     """Serialize endpoint groups to a ``Report-To`` header value."""
-    chunks = []
-    for group in groups:
-        endpoints = []
-        for ep in group.endpoints:
-            entry: dict = {"url": ep.url}
-            if ep.priority != 1:
-                entry["priority"] = ep.priority
-            if ep.weight != 1:
-                entry["weight"] = ep.weight
-            endpoints.append(entry)
-        obj: dict = {"group": group.name, "max_age": group.max_age}
-        if group.include_subdomains:
-            obj["include_subdomains"] = True
-        obj["endpoints"] = endpoints
-        chunks.append(json.dumps(obj, separators=(",", ":")))
-    return ", ".join(chunks)
+    return ", ".join(json.dumps(group_to_dict(group), separators=(",", ":"))
+                     for group in groups)
+
+
+# -- network-error report -----------------------------------------------------------
+
+
+def report_to_dict(report: NelReport) -> dict:
+    """The JSON object of one report, with its body members in wire order."""
+    body = report.body
+    return {
+        "age": report.age,
+        "type": report.type,
+        "url": report.url,
+        "body": {
+            "sampling_fraction": body.sampling_fraction,
+            "referrer": body.referrer,
+            "server_ip": body.server_ip,
+            "protocol": body.protocol,
+            "method": body.method,
+            "request_headers": dict(body.request_headers),
+            "response_headers": dict(body.response_headers),
+            "status_code": body.status_code,
+            "elapsed_time": body.elapsed_time,
+            "phase": body.phase,
+            "type": body.type,
+        },
+    }
+
+
+def report_from_dict(obj, index: int) -> NelReport:
+    """Validate one report object, the inverse of :func:`report_to_dict`.
+
+    Every member is required; errors carry ``index``, the batch position.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError("report must be a JSON object", index)
+    age = _member(obj, "age", int, index=index)
+    if age < 0:
+        raise ParseError("age must be non-negative", index)
+    rtype = _member(obj, "type", str, index=index)
+    if rtype != "network-error":
+        raise ParseError(f"unsupported report type {rtype!r}", index)
+    url = _member(obj, "url", str, index=index)
+    body = _member(obj, "body", dict, index=index)
+
+    sampling_fraction = _member(body, "sampling_fraction", (int, float), index=index)
+    referrer = _member(body, "referrer", str, index=index)
+    server_ip = _member(body, "server_ip", str, index=index)
+    protocol = _member(body, "protocol", str, index=index)
+    method = _member(body, "method", str, index=index)
+    request_headers = _member(body, "request_headers", dict, index=index)
+    response_headers = _member(body, "response_headers", dict, index=index)
+    status_code = _member(body, "status_code", int, index=index)
+    elapsed_time = _member(body, "elapsed_time", int, index=index)
+    phase = _member(body, "phase", str, index=index)
+    error_type = _member(body, "type", str, index=index)
+    if not 0.0 <= sampling_fraction <= 1.0:
+        raise ParseError("sampling_fraction outside [0, 1]", index)
+    if phase not in REPORT_PHASES:
+        raise ParseError(f"unknown phase {phase!r}", index)
+    for name, headers in (("request_headers", request_headers),
+                          ("response_headers", response_headers)):
+        if not all(isinstance(k, str) and isinstance(v, str)
+                   for k, v in headers.items()):
+            raise ParseError(f"member {name!r} must map names to values", index)
+
+    return NelReport(age=age, url=url, body=ReportBody(
+        float(sampling_fraction), referrer, server_ip, protocol, method,
+        request_headers, response_headers, status_code, elapsed_time, phase,
+        error_type))
 
 
 def serialize_report_batch(reports: list[NelReport]) -> bytes:
@@ -331,59 +385,7 @@ def serialize_report_batch(reports: list[NelReport]) -> bytes:
     """
     if not reports:
         raise ValueError("report batch must not be empty")
-    return json.dumps([r.to_dict() for r in reports]).encode("utf-8")
-
-
-_BODY_CHECKS = {
-    "sampling_fraction": (int, float),
-    "referrer": str,
-    "server_ip": str,
-    "protocol": str,
-    "method": str,
-    "request_headers": dict,
-    "response_headers": dict,
-    "status_code": int,
-    "elapsed_time": int,
-    "phase": str,
-    "type": str,
-}
-
-
-def _parse_report(obj, index: int) -> NelReport:
-    if not isinstance(obj, dict):
-        raise ParseError("report must be a JSON object", index=index)
-
-    def member(container: dict, name: str, kind):
-        if name not in container:
-            raise ParseError(f"missing member {name!r}", index=index)
-        value = container[name]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ParseError(f"member {name!r} has wrong type", index=index)
-        return value
-
-    age = member(obj, "age", int)
-    if age < 0:
-        raise ParseError("age must be non-negative", index=index)
-    rtype = member(obj, "type", str)
-    if rtype != "network-error":
-        raise ParseError(f"unsupported report type {rtype!r}", index=index)
-    url = member(obj, "url", str)
-    raw_body = member(obj, "body", dict)
-
-    values = {}
-    for name, kind in _BODY_CHECKS.items():
-        values[name] = member(raw_body, name, kind)
-    if not 0.0 <= values["sampling_fraction"] <= 1.0:
-        raise ParseError("sampling_fraction outside [0, 1]", index=index)
-    if values["phase"] not in REPORT_PHASES:
-        raise ParseError(f"unknown phase {values['phase']!r}", index=index)
-    for name in ("request_headers", "response_headers"):
-        if not all(isinstance(k, str) and isinstance(v, str)
-                   for k, v in values[name].items()):
-            raise ParseError(f"member {name!r} must map names to values", index=index)
-
-    values["sampling_fraction"] = float(values["sampling_fraction"])
-    return NelReport(age=age, url=url, body=ReportBody(**values))
+    return json.dumps([report_to_dict(r) for r in reports]).encode("utf-8")
 
 
 def parse_report_batch(data: bytes) -> list[NelReport]:
@@ -394,4 +396,4 @@ def parse_report_batch(data: bytes) -> list[NelReport]:
         raise ParseError(f"invalid JSON body: {exc}") from None
     if not isinstance(parsed, list):
         raise ParseError("report batch must be a JSON array")
-    return [_parse_report(obj, i) for i, obj in enumerate(parsed)]
+    return [report_from_dict(obj, i) for i, obj in enumerate(parsed)]

@@ -15,13 +15,16 @@ import json
 from dataclasses import dataclass
 
 from .headers import (
-    Endpoint,
     EndpointGroup,
     NelPolicyHeader,
     ParseError,
     Removal,
+    group_from_dict,
+    group_to_dict,
     parse_nel_header,
     parse_report_to_header,
+    policy_from_dict,
+    policy_to_dict,
 )
 
 CONSENT_ENFORCE = "enforce"
@@ -180,55 +183,27 @@ class PolicyStore:
 
     def export_snapshot(self) -> str:
         """All stored policies as a JSON document, for golden tests."""
-        entries = []
-        for stored in self._entries.values():
-            policy = stored.policy
-            entries.append({
-                "host": stored.host,
-                "policy": {
-                    "report_to": policy.report_to,
-                    "max_age": policy.max_age,
-                    "include_subdomains": policy.include_subdomains,
-                    "success_fraction": policy.success_fraction,
-                    "failure_fraction": policy.failure_fraction,
-                    "request_headers": policy.request_headers,
-                    "response_headers": policy.response_headers,
-                },
-                "groups": [
-                    {
-                        "group": g.name,
-                        "max_age": g.max_age,
-                        "include_subdomains": g.include_subdomains,
-                        "endpoints": [
-                            {"url": e.url, "priority": e.priority, "weight": e.weight}
-                            for e in g.endpoints
-                        ],
-                    }
-                    for g in stored.groups
-                ],
-                "received_at": stored.received_at,
-                "expires_at": stored.expires_at,
-            })
+        entries = [{
+            "host": stored.host,
+            "policy": policy_to_dict(stored.policy),
+            "groups": [group_to_dict(g) for g in stored.groups],
+            "received_at": stored.received_at,
+            "expires_at": stored.expires_at,
+        } for stored in self._entries.values()]
         return json.dumps(entries, indent=2, sort_keys=True)
 
     def import_snapshot(self, document: str) -> None:
-        """Replace the store contents with a previously exported snapshot."""
-        entries = json.loads(document)
-        self._entries.clear()
-        for entry in entries:
-            groups = [
-                EndpointGroup(
-                    name=g["group"],
-                    max_age=g["max_age"],
-                    include_subdomains=g["include_subdomains"],
-                    endpoints=[Endpoint(**e) for e in g["endpoints"]],
-                )
-                for g in entry["groups"]
-            ]
-            self._entries[entry["host"]] = StoredPolicy(
+        """Replace the store contents with a snapshot, validated like headers."""
+        entries = {}
+        for entry in json.loads(document):
+            policy = policy_from_dict(entry["policy"])
+            if isinstance(policy, Removal):
+                raise ParseError(f"snapshot entry {entry['host']!r} is a removal")
+            entries[entry["host"]] = StoredPolicy(
                 host=entry["host"],
-                policy=NelPolicyHeader(**entry["policy"]),
-                groups=groups,
+                policy=policy,
+                groups=[group_from_dict(g) for g in entry["groups"]],
                 received_at=entry["received_at"],
                 expires_at=entry["expires_at"],
             )
+        self._entries = entries

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from urllib.parse import urlsplit
 
 from .collector import Collector, CollectorConfig, RejectError
@@ -177,108 +177,31 @@ def diff_traces(a: ScenarioTrace, b: ScenarioTrace) -> list[dict]:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "name": config.name,
-        "description": config.description,
-        "seed": config.seed,
-        "agents": [
-            {
-                "name": a.name,
-                "consent_mode": a.consent_mode,
-                "subdomain_mode": a.subdomain_mode,
-                "consent": dict(a.consent),
-                "ip": a.ip,
-                "user_agent": a.user_agent,
-                "referrer_mode": a.referrer_mode,
-            }
-            for a in config.agents
-        ],
-        "dns": dict(config.dns),
-        "dns_mutations": [
-            {"at": m.at, "host": m.host, "ip": m.ip} for m in config.dns_mutations
-        ],
-        "servers": {
-            host: {
-                "ip": s.ip,
-                "secure": s.secure,
-                "down": [[start, end] for start, end in s.down],
-                "paths": {
-                    path: {
-                        "status": p.status,
-                        "result_type": p.result_type,
-                        "headers": dict(p.headers),
-                    }
-                    for path, p in s.paths.items()
-                },
-            }
-            for host, s in config.servers.items()
-        },
-        "mitm_windows": [
-            {"agent": w.agent, "host": w.host, "start": w.start, "end": w.end,
-             "headers": dict(w.headers)}
-            for w in config.mitm_windows
-        ],
-        "visits": [
-            {"at": v.at, "agent": v.agent, "url": v.url, "referrer": v.referrer}
-            for v in config.visits
-        ],
-        "collectors": {host: c.to_dict() for host, c in config.collectors.items()},
-    }
+    """A JSON-ready scenario document; the inverse of :func:`config_from_dict`."""
+    data = asdict(replace(config, collectors={}))
+    for server in data["servers"].values():
+        server["down"] = [list(interval) for interval in server["down"]]
+    data["collectors"] = {host: c.to_dict() for host, c in config.collectors.items()}
+    return data
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    return ScenarioConfig(
-        name=data.get("name", "custom"),
-        description=data.get("description", ""),
-        seed=data.get("seed", 0),
-        agents=[
-            AgentSpec(
-                name=a["name"],
-                consent_mode=a.get("consent_mode", "bypass"),
-                subdomain_mode=a.get("subdomain_mode", "permissive"),
-                consent=dict(a.get("consent", {})),
-                ip=a.get("ip", "203.0.113.10"),
-                user_agent=a.get("user_agent", "nel-lab-sim/1.0"),
-                referrer_mode=a.get("referrer_mode", "origin-only"),
-            )
-            for a in data.get("agents", [])
-        ],
-        dns=dict(data.get("dns", {})),
-        dns_mutations=[
-            DnsMutation(at=m["at"], host=m["host"], ip=m["ip"])
-            for m in data.get("dns_mutations", [])
-        ],
-        servers={
-            host: ServerSpec(
-                ip=s["ip"],
-                secure=s.get("secure", True),
-                down=[(d[0], d[1]) for d in s.get("down", [])],
-                paths={
-                    path: PathSpec(
-                        status=p.get("status", 200),
-                        result_type=p.get("result_type"),
-                        headers=dict(p.get("headers", {})),
-                    )
-                    for path, p in s.get("paths", {}).items()
-                },
-            )
-            for host, s in data.get("servers", {}).items()
-        },
-        mitm_windows=[
-            MitmWindow(agent=w["agent"], host=w["host"], start=w["start"],
-                       end=w["end"], headers=dict(w.get("headers", {})))
-            for w in data.get("mitm_windows", [])
-        ],
-        visits=[
-            Visit(at=v["at"], agent=v["agent"], url=v["url"],
-                  referrer=v.get("referrer", ""))
-            for v in data.get("visits", [])
-        ],
-        collectors={
-            host: CollectorConfig.from_dict(c)
-            for host, c in data.get("collectors", {}).items()
-        },
-    )
+    """Load a scenario document; the inverse of :func:`config_to_dict`.
+
+    Omitted members take the dataclass defaults; unknown ones raise TypeError.
+    """
+    config = ScenarioConfig(**data)
+    config.agents = [AgentSpec(**a) for a in config.agents]
+    config.dns_mutations = [DnsMutation(**m) for m in config.dns_mutations]
+    config.servers = {host: ServerSpec(**s) for host, s in config.servers.items()}
+    for server in config.servers.values():
+        server.down = [(start, end) for start, end in server.down]
+        server.paths = {path: PathSpec(**p) for path, p in server.paths.items()}
+    config.mitm_windows = [MitmWindow(**w) for w in config.mitm_windows]
+    config.visits = [Visit(**v) for v in config.visits]
+    config.collectors = {host: CollectorConfig.from_dict(c)
+                         for host, c in config.collectors.items()}
+    return config
 
 
 def validate_config(config: ScenarioConfig) -> None:

@@ -169,6 +169,13 @@ class TestScenarioCommand:
         assert main(["scenario", str(config_path)]) == 2
         assert "unique" in capsys.readouterr().err
 
+    def test_unknown_config_member_rejected(self, tmp_path, capsys):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(
+            '{"agents": [{"name": "a", "consent_mod": "enforce"}]}')
+        assert main(["scenario", str(config_path)]) == 2
+        assert "consent_mod" in capsys.readouterr().err
+
 
 class TestAuditCommand:
     def test_headers_file(self, tmp_path, capsys):

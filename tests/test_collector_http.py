@@ -2,7 +2,11 @@
 
 import http.client
 import json
+import re
+import socket
 from urllib.parse import urlsplit
+
+import pytest
 
 from nellab.collector import CollectorConfig
 from nellab.headers import (
@@ -91,6 +95,42 @@ def test_wrong_media_type_400(http_collector):
     status, _, _ = post(base_url, fig1_batch(), content_type="application/json")
     assert status == 400
     assert collector.records == []
+
+
+def raw_exchange(base_url: str, data: bytes) -> list[int]:
+    """Send raw bytes on one connection; the status codes until the server closes."""
+    parts = urlsplit(base_url)
+    received = b""
+    with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+        sock.sendall(data)
+        while chunk := sock.recv(65536):
+            received += chunk
+    return [int(code) for code in re.findall(rb"^HTTP/1\.1 (\d{3}) ", received, re.M)]
+
+
+def raw_post(content_type: str, body: bytes, length: str | None = None,
+             close: bool = False) -> bytes:
+    head = (f"POST /up HTTP/1.1\r\nHost: collector\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body) if length is None else length}\r\n")
+    if close:
+        head += "Connection: close\r\n"
+    return head.encode() + b"\r\n" + body
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_bad_content_length_400_and_close(http_collector, length):
+    collector, base_url = http_collector(CollectorConfig())
+    assert raw_exchange(base_url, raw_post(REPORT_MEDIA_TYPE, b"[]", length)) == [400]
+    assert collector.records == []
+
+
+def test_wrong_media_type_keeps_connection_in_sync(http_collector):
+    collector, base_url = http_collector(CollectorConfig())
+    requests = (raw_post("application/json", fig1_batch())
+                + raw_post(REPORT_MEDIA_TYPE, fig1_batch(), close=True))
+    assert raw_exchange(base_url, requests) == [400, 200]
+    assert len(collector.records) == 1
 
 
 def test_oversized_body_413(http_collector):

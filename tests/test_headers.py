@@ -1,10 +1,12 @@
 """Header codec: NEL / Report-To values and the report-batch body."""
 
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
+from nellab.collector import CollectorConfig
 from nellab.headers import (
     Endpoint,
     EndpointGroup,
@@ -15,9 +17,13 @@ from nellab.headers import (
     REMOVAL,
     Removal,
     ReportBody,
+    group_from_dict,
+    group_to_dict,
     parse_nel_header,
     parse_report_batch,
     parse_report_to_header,
+    policy_from_dict,
+    policy_to_dict,
     serialize_nel_header,
     serialize_report_batch,
     serialize_report_to_header,
@@ -233,7 +239,9 @@ policies = st.builds(
 
 endpoints = st.builds(
     Endpoint,
-    url=st.builds(lambda h, p: f"https://{h}.example/{p}", names, names),
+    # Paths may contain ", ", the separator between Report-To groups.
+    url=st.builds(lambda h, p: f"https://{h}.example/{p}", names,
+                  st.lists(names, min_size=1, max_size=2).map(", ".join)),
     priority=st.integers(min_value=0, max_value=5),
     weight=st.integers(min_value=1, max_value=10),
 )
@@ -280,6 +288,22 @@ def test_report_to_round_trip(group_list):
     assert parse_report_to_header(serialize_report_to_header(group_list)) == group_list
 
 
+@given(policies)
+def test_policy_dict_round_trip(policy):
+    assert policy_from_dict(policy_to_dict(policy)) == policy
+
+
+@given(groups)
+def test_group_dict_round_trip(group):
+    assert group_from_dict(group_to_dict(group)) == group
+
+
+@given(policies, st.lists(groups, min_size=1, max_size=3))
+def test_collector_config_round_trip(policy, group_list):
+    config = CollectorConfig(emit_nel=policy, emit_report_to=group_list)
+    assert CollectorConfig.from_dict(config.to_dict()) == config
+
+
 @given(st.lists(reports, min_size=1, max_size=4))
 def test_report_batch_round_trip(batch):
     assert parse_report_batch(serialize_report_batch(batch)) == batch
@@ -309,3 +333,13 @@ def test_fraction_decimal_fidelity():
                                  success_fraction=fraction)
         parsed = parse_nel_header(serialize_nel_header(policy))
         assert parsed.success_fraction == fraction
+
+
+@pytest.mark.parametrize("value, attribute", [
+    (NelPolicyHeader(report_to="g", max_age=60), "max_age"),
+    (EndpointGroup(name="g", max_age=60,
+                   endpoints=[Endpoint(url="https://c.example/up")]), "name"),
+])
+def test_parsed_policies_and_groups_are_frozen(value, attribute):
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, attribute, 1)
