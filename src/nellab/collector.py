@@ -204,6 +204,13 @@ class Collector:
         self.config = config
         self.records: list[StoredRecord] = []
         self._lock = threading.Lock()
+        # The config does not change, so the emitted headers are serialized once.
+        self._response_headers: dict[str, str] = {}
+        if config.emit_nel is not None:
+            self._response_headers = {
+                "NEL": serialize_nel_header(config.emit_nel),
+                "Report-To": serialize_report_to_header(config.emit_report_to or []),
+            }
         if config.log_path is not None:
             Path(config.log_path).parent.mkdir(parents=True, exist_ok=True)
             Path(config.log_path).touch()
@@ -242,12 +249,7 @@ class Collector:
 
     def response_headers(self) -> dict[str, str]:
         """Headers served on collector responses; how collector chains form."""
-        if self.config.emit_nel is None:
-            return {}
-        return {
-            "NEL": serialize_nel_header(self.config.emit_nel),
-            "Report-To": serialize_report_to_header(self.config.emit_report_to or []),
-        }
+        return dict(self._response_headers)
 
     def purge_expired(self, now: int) -> int:
         """Drop records older than the retention window (strictly older)."""

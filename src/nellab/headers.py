@@ -15,7 +15,7 @@ the collector config and policy-store snapshots use them directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 REPORT_MEDIA_TYPE = "application/reports+json"
@@ -57,15 +57,15 @@ REMOVAL = Removal()
 
 @dataclass(frozen=True)
 class NelPolicyHeader:
-    """A parsed ``NEL`` header value."""
+    """A parsed ``NEL`` header value; hashable, so parses can be shared."""
 
     report_to: str
     max_age: int
     include_subdomains: bool = False
     success_fraction: float = 0.0
     failure_fraction: float = 1.0
-    request_headers: list[str] = field(default_factory=list)
-    response_headers: list[str] = field(default_factory=list)
+    request_headers: tuple[str, ...] = ()
+    response_headers: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.max_age < 0:
@@ -75,6 +75,8 @@ class NelPolicyHeader:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]")
             object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "request_headers", tuple(self.request_headers))
+        object.__setattr__(self, "response_headers", tuple(self.response_headers))
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class EndpointGroup:
 
     name: str
     max_age: int
-    endpoints: list[Endpoint]
+    endpoints: tuple[Endpoint, ...]
     include_subdomains: bool = False
 
     def __post_init__(self):
@@ -109,6 +111,7 @@ class EndpointGroup:
             raise ValueError("max_age must be non-negative")
         if not self.endpoints:
             raise ValueError("endpoint list must not be empty")
+        object.__setattr__(self, "endpoints", tuple(self.endpoints))
 
 
 @dataclass
@@ -197,10 +200,10 @@ def policy_from_dict(obj) -> NelPolicyHeader | Removal:
 
     captures = {}
     for name in ("request_headers", "response_headers"):
-        values = _member(obj, name, list, default=[])
+        values = _member(obj, name, list, default=())
         if not all(isinstance(v, str) for v in values):
             raise ParseError(f"member {name!r} must be a list of header names")
-        captures[name] = list(values)
+        captures[name] = values
 
     try:
         return NelPolicyHeader(

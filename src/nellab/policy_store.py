@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .headers import (
     EndpointGroup,
@@ -40,7 +41,7 @@ class StoredPolicy:
 
     host: str
     policy: NelPolicyHeader
-    groups: list[EndpointGroup]
+    groups: tuple[EndpointGroup, ...]
     received_at: int
     expires_at: int
 
@@ -58,6 +59,22 @@ class StoreEffect:
 
     kind: str  # installed | replaced | removed | ignored
     reason: str | None = None
+
+
+# Parses of distinct header values, shared by every store: the parsed types
+# are frozen and hold only tuples. A ParseError is raised again on each call,
+# never cached.
+PARSE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_nel(raw: str) -> NelPolicyHeader | Removal:
+    return parse_nel_header(raw)
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_report_to(raw: str) -> tuple[EndpointGroup, ...]:
+    return tuple(parse_report_to_header(raw))
 
 
 def superdomains(host: str) -> list[str]:
@@ -95,7 +112,7 @@ class PolicyStore:
         if nel is None:
             return StoreEffect("ignored", "no_header")
         try:
-            parsed = parse_nel_header(nel)
+            parsed = _parse_nel(nel)
         except ParseError:
             return StoreEffect("ignored", "parse_error")
 
@@ -107,7 +124,7 @@ class PolicyStore:
         if report_to is None:
             return StoreEffect("ignored", "unknown_group")
         try:
-            groups = parse_report_to_header(report_to)
+            groups = _parse_report_to(report_to)
         except ParseError:
             return StoreEffect("ignored", "parse_error")
         if not any(g.name == parsed.report_to for g in groups):
@@ -202,7 +219,7 @@ class PolicyStore:
             entries[entry["host"]] = StoredPolicy(
                 host=entry["host"],
                 policy=policy,
-                groups=[group_from_dict(g) for g in entry["groups"]],
+                groups=tuple(group_from_dict(g) for g in entry["groups"]),
                 received_at=entry["received_at"],
                 expires_at=entry["expires_at"],
             )

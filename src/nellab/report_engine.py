@@ -13,6 +13,7 @@ No real network I/O happens here: delivery goes through a transport oracle
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -87,9 +88,14 @@ UNREACHABLE = TransportResult("unreachable")
 Transport = Callable[[str, bytes, int], TransportResult]
 
 
-@dataclass
+@dataclass(eq=False)
 class DeliveryTask:
-    """One report waiting in the delivery queue."""
+    """One report waiting in the delivery queue.
+
+    Tasks compare by identity: two reports with equal contents are still
+    two tasks. ``seq`` is the engine's insertion counter, which orders tasks
+    that fall due together.
+    """
 
     report: NelReport
     group: EndpointGroup
@@ -98,6 +104,7 @@ class DeliveryTask:
     attempts: int = 0
     is_meta: bool = False
     failed_endpoints: set[str] = field(default_factory=set)
+    seq: int = 0
 
 
 @dataclass
@@ -133,7 +140,7 @@ def capture_headers(outcome: RequestOutcome,
                     policy: NelPolicyHeader) -> tuple[dict[str, str], dict[str, str]]:
     """Copy only the exchange headers the policy asked to capture."""
 
-    def pick(names: list[str], available: dict[str, str]) -> dict[str, str]:
+    def pick(names: tuple[str, ...], available: dict[str, str]) -> dict[str, str]:
         lowered = {k.lower(): v for k, v in available.items()}
         return {name: lowered[name.lower()] for name in names
                 if name.lower() in lowered}
@@ -160,7 +167,11 @@ class ReportEngine:
         self.referrer_mode = referrer_mode
         self.max_attempts = max_attempts
         self._sink = sink
-        self._queue: list[DeliveryTask] = []
+        # Queued tasks by seq, in insertion order, and a heap of
+        # (next_attempt_at, seq) over them.
+        self._tasks: dict[int, DeliveryTask] = {}
+        self._queue: list[tuple[int, int]] = []
+        self._seq = 0
 
     # -- observation ---------------------------------------------------------
 
@@ -202,8 +213,11 @@ class ReportEngine:
             event_time=outcome.event_time,
             next_attempt_at=now,
             is_meta=is_meta,
+            seq=self._seq,
         )
-        self._queue.append(task)
+        self._seq += 1
+        self._tasks[task.seq] = task
+        heapq.heappush(self._queue, (now, task.seq))
         if is_meta:
             self._emit("meta_report_queued", now, {
                 "url": outcome.url,
@@ -225,13 +239,22 @@ class ReportEngine:
     # -- delivery --------------------------------------------------------------
 
     def deliver_due(self, now: int, transport: Transport) -> list[DeliveryAttempt]:
-        """Attempt every task due at ``now``, one batch per (group, endpoint)."""
-        due = [t for t in self._queue if t.next_attempt_at <= now]
-        if not due:
+        """Attempt every task due at ``now``, one batch per (group, endpoint).
+
+        Due tasks are taken in insertion order, so batch order and the
+        endpoint draws do not depend on when each task was last retried.
+        """
+        queue = self._queue
+        if not queue or queue[0][0] > now:
             return []
+        due = []
+        while queue and queue[0][0] <= now:
+            due.append(heapq.heappop(queue)[1])
+        due.sort()
 
         batches: dict[tuple[str, str], list[DeliveryTask]] = {}
-        for task in due:
+        for seq in due:
+            task = self._tasks[seq]
             endpoint = self._choose_endpoint(task)
             batches.setdefault((task.group.name, endpoint.url), []).append(task)
 
@@ -260,16 +283,17 @@ class ReportEngine:
             })
             if result.delivered:
                 for task in tasks:
-                    self._queue.remove(task)
+                    del self._tasks[task.seq]
             else:
                 for task in tasks:
                     task.attempts += 1
                     task.failed_endpoints.add(url)
                     if task.attempts >= self.max_attempts:
-                        self._queue.remove(task)
+                        del self._tasks[task.seq]
                         self._queue_meta_report(url, result, now)
                     else:
                         task.next_attempt_at = now + self.backoff(task.attempts)
+                        heapq.heappush(queue, (task.next_attempt_at, task.seq))
         return attempts
 
     def _choose_endpoint(self, task: DeliveryTask):
@@ -325,13 +349,12 @@ class ReportEngine:
         return BACKOFF_BASE_MS * 2 ** (attempts - 1)
 
     def pending(self) -> list[DeliveryTask]:
-        return list(self._queue)
+        """Queued tasks in insertion order."""
+        return list(self._tasks.values())
 
     def next_due(self) -> int | None:
         """Earliest scheduled attempt time, or None when the queue is empty."""
-        if not self._queue:
-            return None
-        return min(t.next_attempt_at for t in self._queue)
+        return self._queue[0][0] if self._queue else None
 
     def _emit(self, kind: str, at: int, data: dict) -> None:
         if self._sink is not None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from urllib.parse import urlsplit
 
 from .collector import Collector, CollectorConfig, RejectError
@@ -185,22 +185,54 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return data
 
 
+_JSON_KINDS = {list: "array", dict: "object"}
+
+# The list and dict members of each entry type that has any, told apart by
+# their default factories.
+_CONTAINERS = {
+    cls: [(f.name, f.default_factory) for f in fields(cls)
+          if f.default_factory in _JSON_KINDS]
+    for cls in (ScenarioConfig, AgentSpec, ServerSpec, PathSpec, MitmWindow)
+}
+
+
+def _checked(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} must be a JSON {_JSON_KINDS[kind]}")
+    return value
+
+
+def _load(cls, data, where: str):
+    """``cls(**data)`` with its list and dict members type-checked."""
+    entry = cls(**_checked(data, dict, where))
+    for name, kind in _CONTAINERS[cls]:
+        if not isinstance(getattr(entry, name), kind):
+            raise ConfigError(f"{where}.{name} must be a JSON {_JSON_KINDS[kind]}")
+    return entry
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Load a scenario document; the inverse of :func:`config_to_dict`.
 
     Omitted members take the dataclass defaults; unknown ones raise TypeError.
+    A member of the wrong container type raises :class:`ConfigError`.
     """
-    config = ScenarioConfig(**data)
-    config.agents = [AgentSpec(**a) for a in config.agents]
+    config = _load(ScenarioConfig, data, "scenario")
+    config.agents = [_load(AgentSpec, a, f"agents[{i}]")
+                     for i, a in enumerate(config.agents)]
     config.dns_mutations = [DnsMutation(**m) for m in config.dns_mutations]
-    config.servers = {host: ServerSpec(**s) for host, s in config.servers.items()}
-    for server in config.servers.values():
+    config.servers = {host: _load(ServerSpec, s, f"servers[{host!r}]")
+                      for host, s in config.servers.items()}
+    for host, server in config.servers.items():
         server.down = [(start, end) for start, end in server.down]
-        server.paths = {path: PathSpec(**p) for path, p in server.paths.items()}
-    config.mitm_windows = [MitmWindow(**w) for w in config.mitm_windows]
+        server.paths = {path: _load(PathSpec, p, f"servers[{host!r}].paths[{path!r}]")
+                        for path, p in server.paths.items()}
+    config.mitm_windows = [_load(MitmWindow, w, f"mitm_windows[{i}]")
+                           for i, w in enumerate(config.mitm_windows)]
     config.visits = [Visit(**v) for v in config.visits]
-    config.collectors = {host: CollectorConfig.from_dict(c)
-                         for host, c in config.collectors.items()}
+    config.collectors = {
+        host: CollectorConfig.from_dict(_checked(c, dict, f"collectors[{host!r}]"))
+        for host, c in config.collectors.items()}
     return config
 
 

@@ -7,6 +7,8 @@ import socket
 import subprocess
 import sys
 
+import pytest
+
 from nellab.audit import (
     AuditNetworkError,
     analyze_headers,
@@ -175,6 +177,19 @@ class TestScenarioCommand:
             '{"agents": [{"name": "a", "consent_mod": "enforce"}]}')
         assert main(["scenario", str(config_path)]) == 2
         assert "consent_mod" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, member", [
+        ('{"name": "x", "servers": []}', "servers"),
+        ('{"agents": {}}', "agents"),
+        ('{"agents": [{"name": "a", "consent": []}]}', "consent"),
+        ('{"servers": {"s.example": {"ip": "192.0.2.1", "paths": []}}}', "paths"),
+        ('{"collectors": {"c.example": []}}', "c.example"),
+    ])
+    def test_wrong_container_type_rejected(self, tmp_path, capsys, document, member):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(document)
+        assert main(["scenario", str(config_path)]) == 2
+        assert member in capsys.readouterr().err
 
 
 class TestAuditCommand:

@@ -106,8 +106,8 @@ class TestParseNelHeader:
         policy = parse_nel_header(
             '{"report_to":"g","max_age":60,"request_headers":["Cookie"],'
             '"response_headers":["ETag","Vary"]}')
-        assert policy.request_headers == ["Cookie"]
-        assert policy.response_headers == ["ETag", "Vary"]
+        assert policy.request_headers == ("Cookie",)
+        assert policy.response_headers == ("ETag", "Vary")
 
 
 class TestParseReportTo:
@@ -333,6 +333,23 @@ def test_fraction_decimal_fidelity():
                                  success_fraction=fraction)
         parsed = parse_nel_header(serialize_nel_header(policy))
         assert parsed.success_fraction == fraction
+
+
+@given(policies, groups)
+def test_parsed_policies_and_groups_are_hashable(policy, group):
+    parsed = parse_nel_header(serialize_nel_header(policy))
+    assert hash(parsed) == hash(policy)
+    [parsed_group] = parse_report_to_header(serialize_report_to_header([group]))
+    assert hash(parsed_group) == hash(group)
+
+
+def test_list_members_become_tuples():
+    policy = NelPolicyHeader(report_to="g", max_age=60, request_headers=["Cookie"])
+    group = EndpointGroup(name="g", max_age=60,
+                          endpoints=[Endpoint(url="https://c.example/up")])
+    assert policy.request_headers == ("Cookie",)
+    assert policy.response_headers == ()
+    assert group.endpoints == (Endpoint(url="https://c.example/up"),)
 
 
 @pytest.mark.parametrize("value, attribute", [

@@ -4,6 +4,9 @@ import json
 
 from hypothesis import given, strategies as st
 
+import pytest
+
+from nellab.headers import MAX_HEADER_BYTES
 from nellab.policy_store import PolicyStore, StoreEffect, superdomains
 
 NEL = '{"report_to":"g","max_age":86400}'
@@ -75,6 +78,34 @@ class TestProcessPolicyHeaders:
         store = PolicyStore()
         install(store, "A.Example")
         assert store.lookup("a.example", 1) is not None
+
+
+class TestParseMemo:
+    def test_same_header_values_share_one_parse(self):
+        nel = '{"report_to":"g","max_age":86400,"request_headers":["Cookie"]}'
+        first, second = PolicyStore(), PolicyStore()
+        install(first, "a.example", nel=nel)
+        install(second, "b.example", nel=nel)
+        a = first.lookup("a.example", 0)[0]
+        b = second.lookup("b.example", 0)[0]
+        assert a.policy is b.policy
+        assert a.groups is b.groups
+        assert isinstance(a.groups, tuple)
+
+    @pytest.mark.parametrize("nel, report_to", [
+        ('{"report_to":"g","max_age":', GROUPS),
+        ('{"report_to":"g","max_age":60,"pad":"' + "x" * MAX_HEADER_BYTES + '"}',
+         GROUPS),
+        (NEL, '{"group":"g","max_age":60,"endpoints":[{"url":"http://c.example/"}]}'),
+        (NEL, GROUPS[:-1] + ',"pad":"' + "x" * MAX_HEADER_BYTES + '"}'),
+    ], ids=["malformed-nel", "oversize-nel", "malformed-report-to",
+            "oversize-report-to"])
+    def test_bad_value_ignored_on_every_call(self, nel, report_to):
+        store = PolicyStore()
+        for now in range(3):
+            assert (install(store, "a.example", now=now, nel=nel, report_to=report_to)
+                    == StoreEffect("ignored", "parse_error"))
+        assert store.hosts() == []
 
 
 class TestConsentGate:

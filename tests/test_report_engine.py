@@ -246,6 +246,24 @@ class TestDelivery:
         urls = [r.url for r in parse_report_batch(transport.calls[0][2])]
         assert urls == ["https://a.example/1", "https://a.example/2"]
 
+    def test_delivered_task_leaves_the_queue_not_an_equal_one(self):
+        # Three equal reports; the draws send the first and third to the
+        # endpoint that is up and the second to the one that is down.
+        groups = json.dumps({"group": "g", "max_age": 86400, "endpoints": [
+            {"url": "https://a.example/up"}, {"url": "https://b.example/up"}]})
+        engine = ReportEngine(make_store(groups=groups), random.Random(0))
+        tasks = [engine.observe(failure_outcome(at=0), 0) for _ in range(3)]
+        transport = recording_transport({"https://a.example/up": DELIVERED,
+                                         "https://b.example/up": UNREACHABLE})
+        attempts = engine.deliver_due(0, transport)
+        assert [(a.endpoint, a.report_count) for a in attempts] == [
+            ("https://a.example/up", 2), ("https://b.example/up", 1)]
+        pending = engine.pending()
+        assert len(pending) == 1 and pending[0] is tasks[1]
+        assert engine.deliver_due(0, transport) == []
+        assert tasks[1].attempts == 1
+        assert engine.next_due() == 60_000
+
     def test_weighted_choice_is_deterministic(self):
         groups = json.dumps({
             "group": "g", "max_age": 86400,

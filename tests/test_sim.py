@@ -1,7 +1,10 @@
 """Scenario simulator: builtins, determinism, causality, config handling."""
 
 import copy
+import gc
+import hashlib
 import json
+import time
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -258,6 +261,21 @@ class TestGoldenTraces:
         expected = (FIXTURES / f"{name}.trace.json").read_bytes()
         assert run_scenario(builtin_scenarios()[name]).to_json_bytes() == expected
 
+    # SHA-256 of the trace bytes of every builtin at seeds 0-2. A change to
+    # the report queue or the parse path must leave each one unchanged.
+    BUILTIN_DIGESTS = json.loads((FIXTURES / "builtin_digests.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(BUILTIN_DIGESTS))
+    def test_trace_matches_recorded_digest(self, key):
+        name, seed = key.split("/")
+        config = builtin_scenarios()[name]
+        config.seed = int(seed)
+        data = run_scenario(config).to_json_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.BUILTIN_DIGESTS[key]
+
+    def test_digests_cover_every_builtin(self):
+        assert {key.split("/")[0] for key in self.BUILTIN_DIGESTS} == BUILTIN_NAMES
+
     def test_trace_json_round_trip(self):
         trace = run_scenario(builtin_scenarios()["fig2_chain"])
         parsed = trace_from_json(trace.to_json())
@@ -367,3 +385,54 @@ class TestWorldMechanics:
         trace = run_scenario(config)
         queued = events_of(trace, "report_queued")
         assert [e.data["report_type"] for e in queued] == ["http.error"]
+
+
+# -- complexity ----------------------------------------------------------------
+
+GATE_NEL = '{"report_to":"g","max_age":86400,"success_fraction":1.0}'
+GATE_REPORT_TO = ('{"group":"g","max_age":86400,'
+                  '"endpoints":[{"url":"https://c.example/up"}]}')
+
+
+def dead_collector_config(visits: int, sites: int = 4) -> ScenarioConfig:
+    """One agent reporting every visit to a collector that never answers.
+
+    ``c.example`` resolves but has no server. Visits come every 20 ms of
+    virtual time, far faster than the 60 s + 120 s retry backoff, so every
+    report made during the visits is still queued when they end.
+    """
+    dns = {"c.example": "192.0.2.100"}
+    servers = {}
+    for i in range(sites):
+        host = f"s{i}.example"
+        dns[host] = f"192.0.2.{i + 1}"
+        servers[host] = ServerSpec(ip=dns[host], paths={"/": PathSpec(headers={
+            "NEL": GATE_NEL, "Report-To": GATE_REPORT_TO})})
+    return ScenarioConfig(
+        name="dead_collector_gate", agents=[AgentSpec(name="a")], dns=dns,
+        servers=servers,
+        visits=[Visit(at=1_000 + 20 * i, agent="a",
+                      url=f"https://s{i % sites}.example/{i}")
+                for i in range(visits)])
+
+
+def best_run_seconds(visits: int, repeats: int = 3) -> float:
+    times = []
+    for _ in range(repeats):
+        config = dead_collector_config(visits)
+        gc.collect()
+        start = time.perf_counter()
+        run_scenario(config)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_dead_collector_run_time_grows_near_linearly():
+    """4x the visits may cost at most 6x the time; a queue scanned in full
+    on every step makes it about 10x."""
+    trace = run_scenario(dead_collector_config(1_000))
+    assert len(events_of(trace, "delivery_attempt")) == 3_000
+    assert not [e for e in trace.events if e.kind == "delivery_attempt"
+                and e.data["result"] == "delivered"]
+    ratio = best_run_seconds(4_000) / best_run_seconds(1_000)
+    assert ratio <= 6.0, f"4k-visit run took {ratio:.1f}x the 1k-visit run"
