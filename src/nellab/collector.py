@@ -16,6 +16,7 @@ from __future__ import annotations
 import ipaddress
 import json
 import logging
+import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -46,6 +47,10 @@ logger = logging.getLogger(__name__)
 IP_MODES = ("volatile", "truncate", "full")
 
 MAX_BODY_BYTES = 1024 * 1024
+
+# The serving collector drops expired records at most once per this much
+# server-clock time.
+PURGE_INTERVAL_MS = 60_000
 
 REDACTED = "[redacted]"
 
@@ -239,12 +244,11 @@ class Collector:
                 volatile_ip=client_ip if self.config.ip_mode == "volatile" else None,
             ))
         with self._lock:
-            self.records.extend(records)
+            # Disk first: a failed append leaves memory as it was.
             if self.config.log_path is not None:
                 with open(self.config.log_path, "a", encoding="utf-8") as log:
-                    for record in records:
-                        log.write(record.to_line() + "\n")
-                    log.flush()
+                    log.write("".join(record.to_line() + "\n" for record in records))
+            self.records.extend(records)
         return len(records)
 
     def response_headers(self) -> dict[str, str]:
@@ -261,11 +265,9 @@ class Collector:
             kept = [r for r in self.records if now - r.received_at <= horizon]
             purged = len(self.records) - len(kept)
             if purged:
-                self.records = kept
                 if self.config.log_path is not None:
-                    with open(self.config.log_path, "w", encoding="utf-8") as log:
-                        for record in kept:
-                            log.write(record.to_line() + "\n")
+                    _replace_log(self.config.log_path, kept)
+                self.records = kept
         return purged
 
     def export(self, since: int | None = None, until: int | None = None,
@@ -281,6 +283,21 @@ class Collector:
                 if report_host != host.lower():
                     continue
             yield record.to_line()
+
+
+def _replace_log(log_path: str, records: list[StoredRecord]) -> None:
+    """Swap in a log holding ``records``; a failure leaves the old log whole."""
+    temp_path = log_path + ".tmp"
+    try:
+        with open(temp_path, "w", encoding="utf-8") as log:
+            for record in records:
+                log.write(record.to_line() + "\n")
+            log.flush()
+            os.fsync(log.fileno())
+        os.replace(temp_path, log_path)
+    except BaseException:
+        Path(temp_path).unlink(missing_ok=True)
+        raise
 
 
 class _CollectorHandler(BaseHTTPRequestHandler):
@@ -328,6 +345,9 @@ class _CollectorHandler(BaseHTTPRequestHandler):
                              self.server.clock())  # type: ignore[attr-defined]
         except RejectError as exc:
             self._respond(exc.status)
+        except OSError:
+            logger.exception("appending to the report log failed")
+            self._respond(500)
         else:
             self._respond(200, collector.response_headers())
 
@@ -341,12 +361,32 @@ class _CollectorHandler(BaseHTTPRequestHandler):
         logger.debug("%s %s", self.address_string(), format % args)
 
 
+class _CollectorServer(ThreadingHTTPServer):
+    """Serves one collector and enforces its retention between requests."""
+
+    def __init__(self, address: tuple[str, int], collector: Collector):
+        super().__init__(address, _CollectorHandler)
+        self.collector = collector
+        self._next_purge_at = 0
+
+    def clock(self) -> int:
+        return int(time.time() * 1000)
+
+    def service_actions(self):
+        # serve_forever calls this on every poll, about twice a second.
+        now = self.clock()
+        if now < self._next_purge_at:
+            return
+        self._next_purge_at = now + PURGE_INTERVAL_MS
+        try:
+            self.collector.purge_expired(now)
+        except OSError:
+            logger.exception("purging expired records failed")
+
+
 def make_server(collector: Collector, host: str | None = None,
                 port: int | None = None) -> ThreadingHTTPServer:
     """Bind the ingestion HTTP server; caller decides how to run it."""
     if host is None or port is None:
         host, port = parse_listen(collector.config.listen)
-    server = ThreadingHTTPServer((host, port), _CollectorHandler)
-    server.collector = collector  # type: ignore[attr-defined]
-    server.clock = lambda: int(time.time() * 1000)  # type: ignore[attr-defined]
-    return server
+    return _CollectorServer((host, port), collector)

@@ -122,12 +122,20 @@ class ScenarioConfig:
 
 @dataclass
 class TraceEvent:
+    """One trace entry; every ``data`` value is a JSON scalar (str, int,
+    float, bool or None), never a list or an object."""
+
     kind: str
     at: int
     data: dict
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "at": self.at, **self.data}
+
+
+# One event's members as ``json.dumps(..., indent=2, sort_keys=True)`` lays
+# them out at depth 2. With ``indent`` unset, ``json`` uses its C encoder.
+_encode_event = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
 
 
 @dataclass
@@ -137,12 +145,15 @@ class ScenarioTrace:
     events: list[TraceEvent]
 
     def to_json(self) -> str:
-        document = {
-            "name": self.name,
-            "seed": self.seed,
-            "events": [event.to_dict() for event in self.events],
-        }
-        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+        """The document ``json.dumps(..., indent=2, sort_keys=True)`` gives,
+        byte for byte; relies on events holding only scalars."""
+        events = "[]"
+        if self.events:
+            events = "[\n    {\n      " + "\n    },\n    {\n      ".join(
+                _encode_event(event.to_dict())[1:-1] for event in self.events
+            ) + "\n    }\n  ]"
+        return (f'{{\n  "events": {events},\n  "name": {json.dumps(self.name)},\n'
+                f'  "seed": {json.dumps(self.seed)}\n}}\n')
 
     def to_json_bytes(self) -> bytes:
         return self.to_json().encode("utf-8")
@@ -152,10 +163,15 @@ class ScenarioTrace:
 
 
 def trace_from_json(document: str) -> ScenarioTrace:
+    """Load a trace document; a member that is an array or an object raises
+    ``ValueError`` naming the event and the member."""
     data = json.loads(document)
     events = []
-    for entry in data["events"]:
+    for index, entry in enumerate(data["events"]):
         entry = dict(entry)
+        for member, value in entry.items():
+            if isinstance(value, (list, dict)):
+                raise ValueError(f"events[{index}].{member} must be a JSON scalar")
         kind = entry.pop("kind")
         at = entry.pop("at")
         events.append(TraceEvent(kind, at, entry))

@@ -1,8 +1,18 @@
 import threading
 
 import pytest
+from hypothesis.internal import charmap
 
 from nellab.collector import Collector, CollectorConfig, make_server
+
+
+def pytest_collection_finish(session):
+    # Hypothesis builds its table of UTF-8-encodable characters once per
+    # checkout (several seconds without a .hypothesis/ cache). Build it
+    # before any test runs, so the time does not land in the first text draw
+    # of some test and trip its health check. (During pytest_configure,
+    # Hypothesis warns about storage access from plugin initialization.)
+    charmap.intervals_from_codec("utf-8")
 
 # The canonical example report; several suites assert against it verbatim.
 FIG1_REPORT = {

@@ -9,8 +9,11 @@ import pytest
 from nellab.collector import (
     Collector,
     CollectorConfig,
+    PURGE_INTERVAL_MS,
     REDACTED,
     RejectError,
+    StoredRecord,
+    make_server,
     minimize,
     persisted_ip,
 )
@@ -197,6 +200,62 @@ class TestRetention:
         lines = log.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["received_at"] == 20_000
+
+    def test_failed_rewrite_keeps_the_whole_log(self, fig1_report, tmp_path,
+                                                monkeypatch):
+        log = tmp_path / "records.ndjson"
+        collector = Collector(CollectorConfig(retention_seconds=10,
+                                              log_path=str(log)))
+        report = fig1_nel_report(fig1_report)
+        for now in (0, 20_000, 21_000, 22_000):
+            collector.ingest(batch(report), "ip", "UA", now=now)
+        before = log.read_text()
+        records = list(collector.records)
+        written = []
+        to_line = StoredRecord.to_line
+
+        def fail_on_second(record):
+            written.append(record)
+            if len(written) == 2:
+                raise OSError("disk full")
+            return to_line(record)
+
+        monkeypatch.setattr(StoredRecord, "to_line", fail_on_second)
+        with pytest.raises(OSError, match="disk full"):
+            collector.purge_expired(now=25_000)
+        assert log.read_text() == before
+        assert collector.records == records
+        assert [path.name for path in tmp_path.iterdir()] == [log.name]
+
+
+class TestServedRetention:
+    @pytest.fixture
+    def served(self):
+        collector = Collector(CollectorConfig(retention_seconds=10))
+        server = make_server(collector, "127.0.0.1", 0)
+        clock = [0]
+        server.clock = lambda: clock[0]
+        yield collector, server, clock
+        server.server_close()
+
+    def test_expired_records_purged_between_requests(self, served, fig1_report):
+        collector, server, clock = served
+        collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now=0)
+        clock[0] = 10_001
+        server.service_actions()
+        assert collector.records == []
+
+    def test_purges_at_most_once_per_interval(self, served, fig1_report):
+        collector, server, clock = served
+        report = fig1_nel_report(fig1_report)
+        server.service_actions()  # purges at 0, next purge due at the interval
+        collector.ingest(batch(report), "ip", "UA", now=0)
+        clock[0] = PURGE_INTERVAL_MS - 1
+        server.service_actions()
+        assert len(collector.records) == 1
+        clock[0] = PURGE_INTERVAL_MS
+        server.service_actions()
+        assert collector.records == []
 
 
 class TestExport:

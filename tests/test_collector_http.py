@@ -133,6 +133,18 @@ def test_wrong_media_type_keeps_connection_in_sync(http_collector):
     assert len(collector.records) == 1
 
 
+def test_log_write_failure_500_and_connection_kept(http_collector, tmp_path, caplog):
+    log = tmp_path / "records.ndjson"
+    collector, base_url = http_collector(CollectorConfig(log_path=str(log)))
+    log.unlink()
+    log.mkdir()  # every append now fails with IsADirectoryError
+    requests = (raw_post(REPORT_MEDIA_TYPE, fig1_batch())
+                + raw_post(REPORT_MEDIA_TYPE, fig1_batch(), close=True))
+    assert raw_exchange(base_url, requests) == [500, 500]
+    assert collector.records == []
+    assert "appending to the report log failed" in caplog.text
+
+
 def test_oversized_body_413(http_collector):
     collector, base_url = http_collector(CollectorConfig())
     status, _, _ = post(base_url, b"[" + b" " * (1024 * 1024) + b"]")

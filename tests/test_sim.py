@@ -9,6 +9,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nellab.collector import CollectorConfig
 from nellab.sim import (
@@ -18,7 +19,9 @@ from nellab.sim import (
     DnsMutation,
     PathSpec,
     ScenarioConfig,
+    ScenarioTrace,
     ServerSpec,
+    TraceEvent,
     Visit,
     builtin_scenarios,
     config_from_dict,
@@ -280,6 +283,47 @@ class TestGoldenTraces:
         trace = run_scenario(builtin_scenarios()["fig2_chain"])
         parsed = trace_from_json(trace.to_json())
         assert parsed.to_json() == trace.to_json()
+
+
+def reference_to_json(trace: ScenarioTrace) -> str:
+    """The layout the trace writer must reproduce, on the pure-Python encoder."""
+    document = {
+        "name": trace.name,
+        "seed": trace.seed,
+        "events": [event.to_dict() for event in trace.events],
+    }
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+tricky_text = st.text(alphabet=st.sampled_from('a"\\\n\t\x00\x7fé \U0001f600')) | st.text()
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | tricky_text)
+trace_events = st.builds(TraceEvent, kind=tricky_text, at=st.integers(),
+                         data=st.dictionaries(tricky_text, json_scalars, max_size=6))
+
+
+class TestTraceWriter:
+    @given(name=tricky_text, seed=st.integers(),
+           events=st.lists(trace_events, max_size=5))
+    def test_matches_the_indent_2_reference(self, name, seed, events):
+        trace = ScenarioTrace(name=name, seed=seed, events=events)
+        assert trace.to_json() == reference_to_json(trace)
+
+    def test_never_reaches_the_pure_python_encoder(self, monkeypatch):
+        trace = run_scenario(builtin_scenarios()["fig2_chain"])
+        expected = reference_to_json(trace)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder was used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert trace.to_json() == expected
+
+    @pytest.mark.parametrize("value", [[], [1, "a"], {}, {"nested": 1}])
+    def test_reader_rejects_container_members(self, value):
+        document = json.loads(run_scenario(builtin_scenarios()["fig2_chain"]).to_json())
+        document["events"][1]["extra"] = value
+        with pytest.raises(ValueError, match=r"events\[1\]\.extra"):
+            trace_from_json(json.dumps(document))
 
 
 class TestConfigValidation:
