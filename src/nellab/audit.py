@@ -13,7 +13,7 @@ import http.client
 import socket
 import ssl
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from urllib.parse import urljoin, urlsplit
 
 from .headers import NelPolicyHeader, ParseError, Removal, parse_nel_header
@@ -21,26 +21,19 @@ from .headers import NelPolicyHeader, ParseError, Removal, parse_nel_header
 USER_AGENT = "nel-lab-audit/0.1"
 MAX_REDIRECTS = 5
 DEFAULT_LONG_MAX_AGE_DAYS = 30
-DEFAULT_FLEET_WORKERS = 8
+FLEET_WORKERS = 8
 
-SEVERITIES = {
-    "NEL_PRESENT_NO_CONSENT_SIGNAL": "warn",
-    "HEADER_CAPTURE_REQUESTED": "high",
-    "LONG_MAX_AGE": "warn",
-    "SUBDOMAIN_SCOPE": "warn",
-    "NO_REMOVAL_POLICY": "info",
-    "INSECURE_NEL": "high",
-    "REMOVAL_POLICY": "info",
-}
-
-MESSAGES = {
-    "NEL_PRESENT_NO_CONSENT_SIGNAL": "NEL policy served without any consent gate",
-    "HEADER_CAPTURE_REQUESTED": "policy asks browsers to embed exchange headers in reports",
-    "LONG_MAX_AGE": "policy lifetime exceeds the audit threshold",
-    "SUBDOMAIN_SCOPE": "policy extends to every subdomain",
-    "NO_REMOVAL_POLICY": "domain serves no NEL header; a max_age=0 policy would scrub stale ones",
-    "INSECURE_NEL": "NEL header served over an insecure channel",
-    "REMOVAL_POLICY": "removal policy (max_age=0); scrubs previously stored policies",
+# Each finding code's severity and the message rendered with it.
+FINDINGS = {
+    "NEL_PRESENT_NO_CONSENT_SIGNAL": ("warn", "NEL policy served without any consent gate"),
+    "HEADER_CAPTURE_REQUESTED": (
+        "high", "policy asks browsers to embed exchange headers in reports"),
+    "LONG_MAX_AGE": ("warn", "policy lifetime exceeds the audit threshold"),
+    "SUBDOMAIN_SCOPE": ("warn", "policy extends to every subdomain"),
+    "NO_REMOVAL_POLICY": (
+        "info", "domain serves no NEL header; a max_age=0 policy would scrub stale ones"),
+    "INSECURE_NEL": ("high", "NEL header served over an insecure channel"),
+    "REMOVAL_POLICY": ("info", "removal policy (max_age=0); scrubs previously stored policies"),
 }
 
 
@@ -53,13 +46,7 @@ class AuditFinding:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "host": self.host,
-            "evidence": self.evidence,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 class AuditNetworkError(Exception):
@@ -84,7 +71,7 @@ def analyze_headers(headers: dict[str, str], host: str, scheme: str | None = Non
     """Derive findings from one response's headers."""
 
     def finding(code: str, evidence: str, detail: str = "") -> AuditFinding:
-        return AuditFinding(code=code, severity=SEVERITIES[code], host=host,
+        return AuditFinding(code=code, severity=FINDINGS[code][0], host=host,
                             evidence=evidence, detail=detail)
 
     nel_value = _find_header(headers, "NEL")
@@ -134,22 +121,19 @@ def parse_headers_file(text: str) -> dict[str, str]:
         name, sep, value = line.partition(":")
         if not sep:
             continue
-        existing = _find_header(headers, name.strip())
-        if existing is not None:
-            headers = {k: v for k, v in headers.items()
-                       if k.lower() != name.strip().lower()}
+        headers = {k: v for k, v in headers.items()
+                   if k.lower() != name.strip().lower()}
         headers[name.strip()] = value.strip()
     return headers
 
 
-def fetch_headers(url: str, timeout: float = 10.0,
-                  max_redirects: int = MAX_REDIRECTS) -> tuple[str, dict[str, str]]:
+def fetch_headers(url: str, timeout: float = 10.0) -> tuple[str, dict[str, str]]:
     """One GET with a fixed user agent, following at most five redirects.
 
     Returns the final URL and its response headers. Raises
     :class:`AuditNetworkError` with the failing phase named.
     """
-    for _ in range(max_redirects + 1):
+    for _ in range(MAX_REDIRECTS + 1):
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise AuditNetworkError("http", f"unsupported target {url!r}")
@@ -210,7 +194,6 @@ def audit_url(url: str, long_max_age_days: int = DEFAULT_LONG_MAX_AGE_DAYS,
 
 def audit_fleet(targets: list[str],
                 long_max_age_days: int = DEFAULT_LONG_MAX_AGE_DAYS,
-                workers: int = DEFAULT_FLEET_WORKERS,
                 timeout: float = 10.0) -> list[dict]:
     """Audit many targets concurrently; per-target failures become entries."""
 
@@ -222,7 +205,7 @@ def audit_fleet(targets: list[str],
             return {"target": target, "error": {"phase": exc.phase,
                                                 "message": str(exc)}}
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=FLEET_WORKERS) as pool:
         return list(pool.map(one, targets))
 
 
@@ -238,7 +221,7 @@ def render_findings(result: dict) -> str:
         lines.append("  no findings")
     for entry in findings:
         lines.append(f"  [{entry['severity'].upper()}] {entry['code']}: "
-                     f"{MESSAGES[entry['code']]}")
+                     f"{FINDINGS[entry['code']][1]}")
         lines.append(f"      evidence: {entry['evidence']}")
         if entry["detail"]:
             lines.append(f"      detail: {entry['detail']}")

@@ -256,18 +256,21 @@ class Collector:
         return dict(self._response_headers)
 
     def purge_expired(self, now: int) -> int:
-        """Drop records older than the retention window (strictly older)."""
+        """Drop records older than the retention window (strictly older).
+
+        With a log, the log itself is filtered, so records an earlier process
+        logged expire too; the count returned is then of log lines dropped.
+        """
         retention = self.config.retention_seconds
         if retention is None:
             return 0
-        horizon = retention * 1000
+        oldest = now - retention * 1000
         with self._lock:
-            kept = [r for r in self.records if now - r.received_at <= horizon]
+            kept = [r for r in self.records if r.received_at >= oldest]
             purged = len(self.records) - len(kept)
-            if purged:
-                if self.config.log_path is not None:
-                    _replace_log(self.config.log_path, kept)
-                self.records = kept
+            if self.config.log_path is not None:
+                purged = _purge_log(self.config.log_path, oldest)
+            self.records = kept
         return purged
 
     def export(self, since: int | None = None, until: int | None = None,
@@ -285,24 +288,40 @@ class Collector:
             yield record.to_line()
 
 
-def _replace_log(log_path: str, records: list[StoredRecord]) -> None:
-    """Swap in a log holding ``records``; a failure leaves the old log whole."""
+def _purge_log(log_path: str, oldest: int) -> int:
+    """Drop the log lines received before ``oldest``; returns how many.
+
+    The other lines, including any that cannot be dated, are copied verbatim
+    to a temporary file that replaces the log only when a line was dropped.
+    A failure leaves the old log whole.
+    """
     temp_path = log_path + ".tmp"
+    dropped = 0
     try:
-        with open(temp_path, "w", encoding="utf-8") as log:
-            for record in records:
-                log.write(record.to_line() + "\n")
-            log.flush()
-            os.fsync(log.fileno())
-        os.replace(temp_path, log_path)
-    except BaseException:
+        with open(log_path, "rb") as log, open(temp_path, "wb") as temp:
+            for line in log:
+                try:
+                    expired = json.loads(line)["received_at"] < oldest
+                except (ValueError, KeyError, TypeError):
+                    expired = False
+                if expired:
+                    dropped += 1
+                else:
+                    temp.write(line)
+            if dropped:
+                temp.flush()
+                os.fsync(temp.fileno())
+        if dropped:
+            os.replace(temp_path, log_path)
+    finally:
         Path(temp_path).unlink(missing_ok=True)
-        raise
+    return dropped
 
 
 class _CollectorHandler(BaseHTTPRequestHandler):
     server_version = "nel-lab-collector/0.1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def _respond(self, status: int, extra_headers: dict[str, str] | None = None):
         self.send_response(status)

@@ -12,7 +12,7 @@ owner. The simulator drives each store single-threaded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .headers import (
@@ -30,9 +30,11 @@ from .headers import (
 
 CONSENT_ENFORCE = "enforce"
 CONSENT_BYPASS = "bypass"
+CONSENT_MODES = (CONSENT_ENFORCE, CONSENT_BYPASS)
 
 SUBDOMAINS_PERMISSIVE = "permissive"
 SUBDOMAINS_STRICT = "strict"
+SUBDOMAIN_MODES = (SUBDOMAINS_PERMISSIVE, SUBDOMAINS_STRICT)
 
 
 @dataclass
@@ -59,6 +61,8 @@ class StoreEffect:
 
     kind: str  # installed | replaced | removed | ignored
     reason: str | None = None
+    # The entry written, for installed and replaced effects.
+    stored: StoredPolicy | None = field(default=None, compare=False)
 
 
 # Parses of distinct header values, shared by every store: the parsed types
@@ -88,9 +92,9 @@ class PolicyStore:
 
     def __init__(self, consent_mode: str = CONSENT_BYPASS,
                  subdomain_mode: str = SUBDOMAINS_PERMISSIVE):
-        if consent_mode not in (CONSENT_ENFORCE, CONSENT_BYPASS):
+        if consent_mode not in CONSENT_MODES:
             raise ValueError(f"unknown consent mode {consent_mode!r}")
-        if subdomain_mode not in (SUBDOMAINS_PERMISSIVE, SUBDOMAINS_STRICT):
+        if subdomain_mode not in SUBDOMAIN_MODES:
             raise ValueError(f"unknown subdomain mode {subdomain_mode!r}")
         self.consent_mode = consent_mode
         self.subdomain_mode = subdomain_mode
@@ -134,14 +138,14 @@ class PolicyStore:
             return StoreEffect("ignored", "no_consent")
 
         replaced = host in self._entries
-        self._entries[host] = StoredPolicy(
+        stored = self._entries[host] = StoredPolicy(
             host=host,
             policy=parsed,
             groups=groups,
             received_at=now,
             expires_at=now + parsed.max_age * 1000,
         )
-        return StoreEffect("replaced" if replaced else "installed")
+        return StoreEffect("replaced" if replaced else "installed", stored=stored)
 
     # -- queries ------------------------------------------------------------
 

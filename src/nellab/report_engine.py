@@ -158,14 +158,12 @@ class ReportEngine:
 
     def __init__(self, store: PolicyStore, rng: random.Random,
                  sink: Callable[[str, int, dict], None] | None = None,
-                 referrer_mode: str = "origin-only",
-                 max_attempts: int = MAX_ATTEMPTS):
+                 referrer_mode: str = "origin-only"):
         if referrer_mode not in REFERRER_MODES:
             raise ValueError(f"unknown referrer mode {referrer_mode!r}")
         self.store = store
         self.rng = rng
         self.referrer_mode = referrer_mode
-        self.max_attempts = max_attempts
         self._sink = sink
         # Queued tasks by seq, in insertion order, and a heap of
         # (next_attempt_at, seq) over them.
@@ -288,7 +286,7 @@ class ReportEngine:
                 for task in tasks:
                     task.attempts += 1
                     task.failed_endpoints.add(url)
-                    if task.attempts >= self.max_attempts:
+                    if task.attempts >= MAX_ATTEMPTS:
                         del self._tasks[task.seq]
                         self._queue_meta_report(url, result, now)
                     else:

@@ -28,8 +28,9 @@ from urllib.parse import urlsplit
 from .collector import Collector, CollectorConfig, RejectError
 from .headers import Endpoint, EndpointGroup, NelPolicyHeader, serialize_nel_header, \
     serialize_report_to_header
-from .policy_store import PolicyStore, StoreEffect
-from .report_engine import ReportEngine, RequestOutcome, TransportResult, UNREACHABLE
+from .policy_store import CONSENT_MODES, PolicyStore, StoreEffect, SUBDOMAIN_MODES
+from .report_engine import REFERRER_MODES, ReportEngine, RequestOutcome, \
+    TransportResult, UNREACHABLE
 
 DAY_MS = 86_400_000
 YEAR_S = 31_536_000
@@ -258,12 +259,12 @@ def validate_config(config: ScenarioConfig) -> None:
     if len(set(names)) != len(names):
         raise ConfigError("agent names must be unique")
     for agent in config.agents:
-        if agent.consent_mode not in ("enforce", "bypass"):
-            raise ConfigError(f"agent {agent.name!r}: unknown consent_mode "
-                              f"{agent.consent_mode!r}")
-        if agent.subdomain_mode not in ("permissive", "strict"):
-            raise ConfigError(f"agent {agent.name!r}: unknown subdomain_mode "
-                              f"{agent.subdomain_mode!r}")
+        for member, modes in (("consent_mode", CONSENT_MODES),
+                              ("subdomain_mode", SUBDOMAIN_MODES),
+                              ("referrer_mode", REFERRER_MODES)):
+            if getattr(agent, member) not in modes:
+                raise ConfigError(f"agent {agent.name!r}: unknown {member} "
+                                  f"{getattr(agent, member)!r}")
     known = set(names)
 
     previous = None
@@ -411,16 +412,14 @@ class _World:
 
     def _emit_policy_effect(self, agent: _Agent, host: str, now: int,
                             effect: StoreEffect) -> None:
-        if effect.kind in ("installed", "replaced"):
-            found = agent.store.lookup(host, now)
-            assert found is not None
-            stored = found[0]
+        if effect.stored is not None:
+            policy = effect.stored.policy
             self.record(TraceEvent("policy_installed", now, {
                 "agent": agent.spec.name,
                 "host": host,
-                "group": stored.policy.report_to,
-                "max_age": stored.policy.max_age,
-                "include_subdomains": stored.policy.include_subdomains,
+                "group": policy.report_to,
+                "max_age": policy.max_age,
+                "include_subdomains": policy.include_subdomains,
                 "replaced": effect.kind == "replaced",
             }))
         elif effect.kind == "removed":
@@ -712,39 +711,18 @@ def _mitm_persistence() -> ScenarioConfig:
 
 
 def _mitigation_scrub() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="mitigation_scrub",
-        description=(
-            "Same injection as mitm_persistence, but the honest server "
-            "preventively serves max_age=0. The first visit after the "
-            "window scrubs the malicious policy and no further reports "
-            "reach the attacker."),
-        agents=[AgentSpec(name="victim")],
-        dns={
-            "honest.example": "192.0.2.40",
-            "evil-collector.example": "192.0.2.66",
-        },
-        servers={
-            "honest.example": ServerSpec(ip="192.0.2.40", paths={
-                "/": PathSpec(headers={"NEL": '{"max_age":0}'}),
-            }),
-            "evil-collector.example": ServerSpec(ip="192.0.2.66"),
-        },
-        collectors={
-            "evil-collector.example": CollectorConfig(
-                ip_mode="full", strip_url_query=False),
-        },
-        mitm_windows=[
-            MitmWindow(agent="victim", host="honest.example",
-                       start=60_000, end=600_000, headers=dict(_MITM_HEADERS)),
-        ],
-        visits=[
-            Visit(at=120_000, agent="victim", url="https://honest.example/"),
-            Visit(at=700_000, agent="victim", url="https://honest.example/"),
-            Visit(at=900_000, agent="victim", url="https://honest.example/"),
-            Visit(at=40 * DAY_MS, agent="victim", url="https://honest.example/"),
-        ],
-    )
+    config = _mitm_persistence()
+    config.name = "mitigation_scrub"
+    config.description = (
+        "Same injection as mitm_persistence, but the honest server "
+        "preventively serves max_age=0. The first visit after the "
+        "window scrubs the malicious policy and no further reports "
+        "reach the attacker.")
+    config.servers["honest.example"].paths["/"] = PathSpec(
+        headers={"NEL": '{"max_age":0}'})
+    config.visits.insert(1, Visit(at=700_000, agent="victim",
+                                  url="https://honest.example/"))
+    return config
 
 
 def _rogue_creator() -> ScenarioConfig:

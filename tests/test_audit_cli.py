@@ -178,6 +178,13 @@ class TestScenarioCommand:
         assert main(["scenario", str(config_path)]) == 2
         assert "consent_mod" in capsys.readouterr().err
 
+    def test_unknown_referrer_mode_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(
+            '{"agents": [{"name": "a", "referrer_mode": "everything"}]}')
+        assert main(["scenario", str(config_path)]) == 2
+        assert "unknown referrer_mode 'everything'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("document, member", [
         ('{"name": "x", "servers": []}', "servers"),
         ('{"agents": {}}', "agents"),
@@ -352,6 +359,8 @@ class TestCollectCommand:
             process.wait(timeout=10)
             assert process.returncode == 0
             assert len(log.read_text().splitlines()) == 1
+            # perfbench/httpload.py parses this line for the record count.
+            assert "collector stopped; 1 records" in process.stdout.read()
         finally:
             if process.poll() is None:
                 process.kill()

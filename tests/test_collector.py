@@ -12,7 +12,6 @@ from nellab.collector import (
     PURGE_INTERVAL_MS,
     REDACTED,
     RejectError,
-    StoredRecord,
     make_server,
     minimize,
     persisted_ip,
@@ -211,20 +210,76 @@ class TestRetention:
             collector.ingest(batch(report), "ip", "UA", now=now)
         before = log.read_text()
         records = list(collector.records)
-        written = []
-        to_line = StoredRecord.to_line
 
-        def fail_on_second(record):
-            written.append(record)
-            if len(written) == 2:
-                raise OSError("disk full")
-            return to_line(record)
+        def fail(fd):
+            raise OSError("disk full")
 
-        monkeypatch.setattr(StoredRecord, "to_line", fail_on_second)
+        monkeypatch.setattr("nellab.collector.os.fsync", fail)
         with pytest.raises(OSError, match="disk full"):
             collector.purge_expired(now=25_000)
         assert log.read_text() == before
         assert collector.records == records
+        assert [path.name for path in tmp_path.iterdir()] == [log.name]
+
+    def test_purge_keeps_unexpired_records_of_an_earlier_run(self, fig1_report,
+                                                             tmp_path):
+        log = tmp_path / "records.ndjson"
+        config = CollectorConfig(retention_seconds=10, log_path=str(log))
+        report = fig1_nel_report(fig1_report)
+        first = Collector(config)
+        report.url = "https://old.example/"
+        first.ingest(batch(report), "ip", "UA", now=0)
+        report.url = "https://kept.example/"
+        first.ingest(batch(report), "ip", "UA", now=100_000)
+
+        restarted = Collector(config)
+        report.url = "https://new.example/"
+        restarted.ingest(batch(report), "ip", "UA", now=104_000)
+        assert restarted.purge_expired(now=105_000) == 1
+        assert [json.loads(line)["report"]["url"]
+                for line in log.read_text().splitlines()] == [
+            "https://kept.example/", "https://new.example/"]
+        assert [r.report.url for r in restarted.records] == ["https://new.example/"]
+
+    def test_purge_after_a_clock_step_keeps_logged_records(self, fig1_report,
+                                                          tmp_path):
+        # The restarted process's clock was stepped back, so a record in its
+        # memory expires before one an earlier run logged.
+        log = tmp_path / "records.ndjson"
+        config = CollectorConfig(retention_seconds=10, log_path=str(log))
+        report = fig1_nel_report(fig1_report)
+        report.url = "https://kept.example/"
+        Collector(config).ingest(batch(report), "ip", "UA", now=100_000)
+
+        restarted = Collector(config)
+        report.url = "https://stepped.example/"
+        restarted.ingest(batch(report), "ip", "UA", now=94_000)
+        report.url = "https://new.example/"
+        restarted.ingest(batch(report), "ip", "UA", now=104_000)
+        assert restarted.purge_expired(now=105_000) == 1
+        assert [json.loads(line)["report"]["url"]
+                for line in log.read_text().splitlines()] == [
+            "https://kept.example/", "https://new.example/"]
+
+    def test_purge_keeps_lines_it_cannot_date(self, fig1_report, tmp_path):
+        log = tmp_path / "records.ndjson"
+        collector = Collector(CollectorConfig(retention_seconds=10,
+                                              log_path=str(log)))
+        collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now=0)
+        with open(log, "ab") as handle:
+            handle.write(b'{"received_at": 0, "rep\n\xff\xfe\n')
+        assert collector.purge_expired(now=20_000) == 1
+        assert log.read_bytes() == b'{"received_at": 0, "rep\n\xff\xfe\n'
+
+    def test_purge_without_expired_lines_leaves_the_log_alone(self, fig1_report,
+                                                              tmp_path):
+        log = tmp_path / "records.ndjson"
+        collector = Collector(CollectorConfig(retention_seconds=10,
+                                              log_path=str(log)))
+        collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now=0)
+        before = log.stat()
+        assert collector.purge_expired(now=10_000) == 0
+        assert log.stat().st_ino == before.st_ino
         assert [path.name for path in tmp_path.iterdir()] == [log.name]
 
 

@@ -16,6 +16,7 @@ from nellab.sim import (
     AgentSpec,
     ConfigError,
     DAY_MS,
+    DRAIN_WINDOW_MS,
     DnsMutation,
     PathSpec,
     ScenarioConfig,
@@ -23,6 +24,7 @@ from nellab.sim import (
     ServerSpec,
     TraceEvent,
     Visit,
+    _emit_config,
     builtin_scenarios,
     config_from_dict,
     config_to_dict,
@@ -85,6 +87,19 @@ class TestFig2Chain:
         meta = events_of(trace, "meta_report_queued")[0]
         assert meta.data["collector"] == "c.example"
 
+    def test_self_reporting_collector_is_abandoned_at_the_drain_horizon(self):
+        # c.example reports its own failures to itself, so once it is down
+        # every final failure queues one more meta-report, until the run
+        # stops at DRAIN_WINDOW_MS past the last visit.
+        config = builtin_scenarios()["fig2_chain"]
+        config.collectors["c.example"] = _emit_config("self", "https://c.example/up")
+        trace = run_scenario(config)
+        last = events_of(trace, "delivery_attempt")[-1]
+        assert len(trace.events) == 13_448
+        assert len(events_of(trace, "delivery_attempt")) == 10_082
+        assert len(events_of(trace, "meta_report_queued")) == 3_360
+        assert last.at <= 10_000 + DRAIN_WINDOW_MS
+
 
 class TestFig3SplitChain:
     def test_nothing_concerns_bc_host(self):
@@ -138,6 +153,19 @@ class TestMitigationScrub:
     def test_removal_happens_on_first_honest_revisit(self):
         trace = run_scenario(builtin_scenarios()["mitigation_scrub"])
         assert events_of(trace, "policy_removed")[0].at == 700_000
+
+    def test_differs_from_mitm_persistence_only_by_the_scrub(self):
+        attack = config_to_dict(builtin_scenarios()["mitm_persistence"])
+        scrub = config_to_dict(builtin_scenarios()["mitigation_scrub"])
+        assert scrub["servers"]["honest.example"]["paths"]["/"]["headers"] == {
+            "NEL": '{"max_age":0}'}
+        assert scrub["visits"].pop(1) == {"at": 700_000, "agent": "victim",
+                                          "url": "https://honest.example/",
+                                          "referrer": ""}
+        for document in (attack, scrub):
+            del document["name"], document["description"]
+            document["servers"]["honest.example"]["paths"]["/"]["headers"] = {}
+        assert scrub == attack
 
 
 class TestRogueCreator:
@@ -371,6 +399,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="end before start"):
             validate_config(config)
 
+    @pytest.mark.parametrize("member", ["consent_mode", "subdomain_mode",
+                                        "referrer_mode"])
+    def test_unknown_agent_mode(self, member):
+        config = ScenarioConfig(agents=[AgentSpec(name="a", **{member: "sometimes"})])
+        with pytest.raises(ConfigError, match=f"unknown {member} 'sometimes'"):
+            validate_config(config)
+
     def test_run_scenario_surfaces_config_error(self):
         config = ScenarioConfig(agents=[AgentSpec(name="a"), AgentSpec(name="a")])
         with pytest.raises(ConfigError):
@@ -412,6 +447,23 @@ class TestWorldMechanics:
             visits=[Visit(at=10, agent="a", url="https://x.example/")])
         trace = run_scenario(config)
         assert events_of(trace, "dns_change")[0].data["ip"] == ""
+
+    def test_upload_to_a_host_without_a_collector_gets_404(self):
+        config = ScenarioConfig(
+            agents=[AgentSpec(name="a")],
+            dns={"x.example": "192.0.2.1", "plain.example": "192.0.2.2"},
+            servers={"x.example": ServerSpec(ip="192.0.2.1", paths={
+                "/": PathSpec(status=503, headers={
+                    "NEL": '{"report_to":"g","max_age":60}',
+                    "Report-To": '{"group":"g","max_age":60,'
+                                 '"endpoints":[{"url":"https://plain.example/u"}]}',
+                }),
+            }), "plain.example": ServerSpec(ip="192.0.2.2")},
+            visits=[Visit(at=1_000, agent="a", url="https://x.example/")])
+        attempts = events_of(run_scenario(config), "delivery_attempt")
+        assert [(e.at, e.data["result"], e.data["status"]) for e in attempts] == [
+            (1_000, "http_error", 404), (61_000, "http_error", 404),
+            (181_000, "http_error", 404)]
 
     def test_error_status_paths_report_http_error(self):
         config = ScenarioConfig(
