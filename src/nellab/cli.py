@@ -151,7 +151,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
         pass
     finally:
         server.server_close()
-    print(f"collector stopped; {len(collector.records)} records", flush=True)
+    print(f"collector stopped; {collector.stored} records", flush=True)
     return 0
 
 

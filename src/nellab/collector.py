@@ -5,10 +5,10 @@ recorded: URL query/fragment stripping, captured-header dropping, and
 client-IP handling (``volatile`` keeps the address in memory only,
 ``truncate`` zeroes the host bits, ``full`` stores it verbatim).
 
-Records append to an in-memory list and, when configured, to a
-newline-delimited JSON file, so the volatile-IP guarantee can be checked by
-scanning the file for address literals. Appends are serialized through one
-lock; the log is a linear order.
+Records append, when configured, to a newline-delimited JSON log, so the
+volatile-IP guarantee can be checked by scanning the file for address
+literals, and then go to an optional sink; the collector keeps no copy.
+Appends are serialized through one lock; the log is a linear order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterator
+from typing import Callable
 from urllib.parse import urlsplit, urlunsplit
 
 from .headers import (
@@ -190,24 +190,24 @@ class StoredRecord:
     user_agent: str
     volatile_ip: str | None = field(default=None, repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        return {
+    def to_line(self) -> str:
+        return json.dumps({
             "received_at": self.received_at,
             "report": report_to_dict(self.report),
             "client_ip": self.client_ip,
             "user_agent": self.user_agent,
-        }
-
-    def to_line(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        }, separators=(",", ":"))
 
 
 class Collector:
-    """Ingests report batches, minimizes them, and appends records."""
+    """Ingests report batches, minimizes them, and stores them: to the log,
+    then to ``sink`` once per batch, in log order. ``stored`` counts them."""
 
-    def __init__(self, config: CollectorConfig):
+    def __init__(self, config: CollectorConfig,
+                 sink: Callable[[list[StoredRecord]], None] | None = None):
         self.config = config
-        self.records: list[StoredRecord] = []
+        self.stored = 0
+        self._sink = sink
         self._lock = threading.Lock()
         # The config does not change, so the emitted headers are serialized once.
         self._response_headers: dict[str, str] = {}
@@ -218,10 +218,13 @@ class Collector:
             }
         if config.log_path is not None:
             Path(config.log_path).parent.mkdir(parents=True, exist_ok=True)
-            Path(config.log_path).touch()
+            with open(config.log_path, "ab+") as log:
+                log.seek(max(log.tell() - 1, 0))
+                if log.read(1) not in (b"", b"\n"):  # an append torn by a crash
+                    log.write(b"\n")
 
     def ingest(self, body: bytes, client_ip: str, user_agent: str, now: int) -> int:
-        """Minimize and append every report in the batch; returns the count."""
+        """Minimize and store every report in the batch; returns the count."""
         if len(body) > MAX_BODY_BYTES:
             raise RejectError(413, "body exceeds 1 MiB")
         try:
@@ -244,11 +247,13 @@ class Collector:
                 volatile_ip=client_ip if self.config.ip_mode == "volatile" else None,
             ))
         with self._lock:
-            # Disk first: a failed append leaves memory as it was.
+            # Disk first: a failed append reaches neither the count nor the sink.
             if self.config.log_path is not None:
                 with open(self.config.log_path, "a", encoding="utf-8") as log:
                     log.write("".join(record.to_line() + "\n" for record in records))
-            self.records.extend(records)
+            self.stored += len(records)
+            if self._sink is not None:
+                self._sink(records)
         return len(records)
 
     def response_headers(self) -> dict[str, str]:
@@ -256,36 +261,16 @@ class Collector:
         return dict(self._response_headers)
 
     def purge_expired(self, now: int) -> int:
-        """Drop records older than the retention window (strictly older).
+        """Drop log lines received before the retention window; returns how many.
 
-        With a log, the log itself is filtered, so records an earlier process
-        logged expire too; the count returned is then of log lines dropped.
+        The log itself is filtered, so records an earlier process logged
+        expire too. Without retention or a log there is nothing to drop.
         """
         retention = self.config.retention_seconds
-        if retention is None:
+        if retention is None or self.config.log_path is None:
             return 0
-        oldest = now - retention * 1000
         with self._lock:
-            kept = [r for r in self.records if r.received_at >= oldest]
-            purged = len(self.records) - len(kept)
-            if self.config.log_path is not None:
-                purged = _purge_log(self.config.log_path, oldest)
-            self.records = kept
-        return purged
-
-    def export(self, since: int | None = None, until: int | None = None,
-               host: str | None = None) -> Iterator[str]:
-        """Records as NDJSON lines, in ingestion order."""
-        for record in list(self.records):
-            if since is not None and record.received_at < since:
-                continue
-            if until is not None and record.received_at > until:
-                continue
-            if host is not None:
-                report_host = (urlsplit(record.report.url).hostname or "").lower()
-                if report_host != host.lower():
-                    continue
-            yield record.to_line()
+            return _purge_log(self.config.log_path, now - retention * 1000)
 
 
 def _purge_log(log_path: str, oldest: int) -> int:

@@ -23,9 +23,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from urllib.parse import urlsplit
 
-from .collector import Collector, CollectorConfig, RejectError
+from .collector import Collector, CollectorConfig, RejectError, StoredRecord
 from .headers import Endpoint, EndpointGroup, NelPolicyHeader, serialize_nel_header, \
     serialize_report_to_header
 from .policy_store import CONSENT_MODES, PolicyStore, StoreEffect, SUBDOMAIN_MODES
@@ -253,6 +254,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return config
 
 
+def _check_times(what: str, *times) -> None:
+    for at in times:
+        if not isinstance(at, int) or isinstance(at, bool):
+            raise ConfigError(f"{what}: a time must be an integer of milliseconds, "
+                              f"got {at!r}")
+
+
 def validate_config(config: ScenarioConfig) -> None:
     """Raise :class:`ConfigError` naming the first offending entry."""
     names = [a.name for a in config.agents]
@@ -269,6 +277,7 @@ def validate_config(config: ScenarioConfig) -> None:
 
     previous = None
     for mutation in config.dns_mutations:
+        _check_times(f"dns mutation for {mutation.host!r}", mutation.at)
         if previous is not None and mutation.at < previous:
             raise ConfigError(f"dns mutation at {mutation.at} for "
                               f"{mutation.host!r} is out of order")
@@ -276,6 +285,7 @@ def validate_config(config: ScenarioConfig) -> None:
 
     previous = None
     for visit in config.visits:
+        _check_times(f"visit to {visit.url!r}", visit.at)
         if previous is not None and visit.at < previous:
             raise ConfigError(f"visit at {visit.at} to {visit.url!r} is out of order")
         previous = visit.at
@@ -291,6 +301,7 @@ def validate_config(config: ScenarioConfig) -> None:
         if window.agent not in known:
             raise ConfigError(f"mitm window on {window.host!r}: unknown agent "
                               f"{window.agent!r}")
+        _check_times(f"mitm window on {window.host!r}", window.start, window.end)
         if window.end < window.start:
             raise ConfigError(f"mitm window on {window.host!r}: end before start")
 
@@ -302,6 +313,8 @@ def validate_config(config: ScenarioConfig) -> None:
         if not server.ip:
             raise ConfigError(f"server {host!r} has no address")
         for start, end in server.down:
+            _check_times(f"server {host!r}: down interval", start,
+                         *([] if end is None else [end]))
             if end is not None and end < start:
                 raise ConfigError(f"server {host!r}: down interval ends before start")
 
@@ -344,7 +357,7 @@ class _World:
         # always-up hosts at their DNS address.
         for host in config.collectors:
             self.servers.setdefault(host, ServerSpec(ip=config.dns[host]))
-        self.collectors = {host: Collector(cfg)
+        self.collectors = {host: Collector(cfg, partial(self._stored, host))
                            for host, cfg in config.collectors.items()}
         self.agents = {spec.name: _Agent(spec, config.seed, self)
                        for spec in config.agents}
@@ -355,6 +368,15 @@ class _World:
 
     def record(self, event: TraceEvent) -> None:
         self.events.append(event)
+
+    def _stored(self, host: str, records: list[StoredRecord]) -> None:
+        self._held_stored.extend(TraceEvent("report_stored", record.received_at, {
+            "collector": host,
+            "url": record.report.url,
+            "report_type": record.report.body.type,
+            "phase": record.report.body.phase,
+            "server_ip": record.report.body.server_ip,
+        }) for record in records)
 
     def flush_stored(self) -> None:
         self.events.extend(self._held_stored)
@@ -391,19 +413,10 @@ class _World:
         collector = self.collectors.get(host)
         if collector is None:
             return TransportResult("http_error", status_code=404)
-        before = len(collector.records)
         try:
             collector.ingest(body, agent.spec.ip, agent.spec.user_agent, now)
         except RejectError as exc:
             return TransportResult("http_error", status_code=exc.status)
-        for record in collector.records[before:]:
-            self._held_stored.append(TraceEvent("report_stored", now, {
-                "collector": host,
-                "url": record.report.url,
-                "report_type": record.report.body.type,
-                "phase": record.report.body.phase,
-                "server_ip": record.report.body.server_ip,
-            }))
         headers = self._mitm_overlay(agent, host, now, collector.response_headers())
         return TransportResult("delivered", status_code=200,
                                response_headers=headers)

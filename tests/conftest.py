@@ -47,8 +47,8 @@ def http_collector():
     """Factory starting a real collector HTTP server on an ephemeral port."""
     servers = []
 
-    def start(config: CollectorConfig) -> tuple[Collector, str]:
-        collector = Collector(config)
+    def start(config: CollectorConfig, sink=None) -> tuple[Collector, str]:
+        collector = Collector(config, sink)
         server = make_server(collector, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -185,6 +185,17 @@ class TestScenarioCommand:
         assert main(["scenario", str(config_path)]) == 2
         assert "unknown referrer_mode 'everything'" in capsys.readouterr().err
 
+    def test_non_integer_visit_time_exits_2(self, tmp_path, capsys):
+        from nellab.sim import builtin_scenarios, config_to_dict
+
+        document = config_to_dict(builtin_scenarios()["fig2_chain"])
+        document["visits"][0]["at"] = "soon"
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(document))
+        assert main(["scenario", str(config_path)]) == 2
+        assert "must be an integer of milliseconds, got 'soon'" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("document, member", [
         ('{"name": "x", "servers": []}', "servers"),
         ('{"agents": {}}', "agents"),

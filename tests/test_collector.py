@@ -1,8 +1,9 @@
-"""Collector core: minimization, IP handling, retention, export."""
+"""Collector core: minimization, IP handling, the log, the sink, retention."""
 
 import ipaddress
 import json
 import logging
+import tracemalloc
 
 import pytest
 
@@ -99,54 +100,69 @@ class TestPersistedIp:
 
 class TestIngest:
     def test_fig1_batch_stored_with_clean_url(self, fig1_report):
-        collector = Collector(CollectorConfig())
+        batches = []
+        collector = Collector(CollectorConfig(), batches.append)
         count = collector.ingest(batch(fig1_nel_report(fig1_report)),
                                  "203.0.113.77", "UA/1.0", now=5_000)
         assert count == 1
-        record = collector.records[0]
+        [[record]] = batches
         assert record.report.url == "https://www.example.com/"
         assert record.received_at == 5_000
 
     def test_truncate_mode_stores_masked_ip(self, fig1_report):
-        collector = Collector(CollectorConfig(ip_mode="truncate"))
+        batches = []
+        collector = Collector(CollectorConfig(ip_mode="truncate"), batches.append)
         collector.ingest(batch(fig1_nel_report(fig1_report)),
                          "203.0.113.77", "UA/1.0", now=0)
-        assert collector.records[0].client_ip == "203.0.113.0"
+        assert batches[0][0].client_ip == "203.0.113.0"
 
     def test_volatile_mode_keeps_ip_in_memory_only(self, fig1_report, tmp_path):
         log = tmp_path / "records.ndjson"
+        batches = []
         collector = Collector(CollectorConfig(ip_mode="volatile",
-                                              log_path=str(log)))
+                                              log_path=str(log)), batches.append)
         collector.ingest(batch(fig1_nel_report(fig1_report)),
                          "203.0.113.77", "UA/1.0", now=0)
-        record = collector.records[0]
+        [[record]] = batches
         assert record.volatile_ip == "203.0.113.77"
         assert record.client_ip == REDACTED
         assert "203.0.113.77" not in log.read_text()
         assert "203.0.113.77" not in record.to_line()
 
-    def test_malformed_body_rejected_and_nothing_appended(self):
-        collector = Collector(CollectorConfig())
+    def test_malformed_body_rejected_and_nothing_appended(self, tmp_path):
+        log = tmp_path / "records.ndjson"
+        batches = []
+        collector = Collector(CollectorConfig(log_path=str(log)), batches.append)
         with pytest.raises(RejectError) as excinfo:
             collector.ingest(b'[{"age": 0', "203.0.113.1", "UA", now=0)
         assert excinfo.value.status == 400
-        assert collector.records == []
+        assert batches == []
+        assert collector.stored == 0
+        assert log.read_bytes() == b""
 
     def test_oversized_body_rejected(self):
-        collector = Collector(CollectorConfig())
+        batches = []
+        collector = Collector(CollectorConfig(), batches.append)
         with pytest.raises(RejectError) as excinfo:
             collector.ingest(b"[" + b" " * (1024 * 1024) + b"]", "ip", "UA", now=0)
         assert excinfo.value.status == 413
+        assert batches == []
+        assert collector.stored == 0
 
     def test_ndjson_lines_appended_in_order(self, fig1_report, tmp_path):
         log = tmp_path / "records.ndjson"
-        collector = Collector(CollectorConfig(log_path=str(log)))
+        batches = []
+        collector = Collector(CollectorConfig(log_path=str(log)), batches.append)
         report = fig1_nel_report(fig1_report)
         collector.ingest(batch(report), "203.0.113.1", "UA", now=1)
         collector.ingest(batch(report, report), "203.0.113.1", "UA", now=2)
         lines = log.read_text().splitlines()
         assert len(lines) == 3
         assert [json.loads(line)["received_at"] for line in lines] == [1, 2, 2]
+        # The sink gets each batch once, in log order.
+        assert [len(records) for records in batches] == [1, 2]
+        assert [record.to_line() for records in batches for record in records] == lines
+        assert collector.stored == 3
 
     def test_persisted_lines_carry_no_query_strings(self, fig1_report, tmp_path):
         log = tmp_path / "records.ndjson"
@@ -170,21 +186,76 @@ class TestIngest:
         assert any("success report" in message for message in caplog.messages)
 
 
+class TestLog:
+    def test_torn_last_line_stays_its_own_line(self, fig1_report, tmp_path):
+        log = tmp_path / "records.ndjson"
+        report = fig1_nel_report(fig1_report)
+        Collector(CollectorConfig(log_path=str(log))).ingest(
+            batch(report), "ip", "UA", now=1)
+        with open(log, "ab") as handle:
+            handle.write(b'{"received_at":2,"rep')  # an append torn by a crash
+        Collector(CollectorConfig(log_path=str(log))).ingest(
+            batch(report), "ip", "UA", now=3)
+        lines = log.read_text().splitlines()
+        assert lines[1] == '{"received_at":2,"rep'
+        assert [json.loads(line)["received_at"]
+                for line in (lines[0], lines[2])] == [1, 3]
+        assert len(lines) == 3
+
+    def test_opening_leaves_a_whole_log_alone(self, fig1_report, tmp_path):
+        log = tmp_path / "records.ndjson"
+        Collector(CollectorConfig(log_path=str(log)))
+        assert log.read_bytes() == b""
+        Collector(CollectorConfig(log_path=str(log))).ingest(
+            batch(fig1_nel_report(fig1_report)), "ip", "UA", now=1)
+        before = log.read_bytes()
+        Collector(CollectorConfig(log_path=str(log)))
+        assert log.read_bytes() == before
+
+    def test_logged_ingests_keep_memory_bounded(self, fig1_report, tmp_path):
+        collector = Collector(CollectorConfig(
+            log_path=str(tmp_path / "records.ndjson")))
+        body = batch(fig1_nel_report(fig1_report))
+        for now in range(200):
+            collector.ingest(body, "203.0.113.1", "UA", now)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for now in range(200, 2_200):
+                collector.ingest(body, "203.0.113.1", "UA", now)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 100_000
+
+
 class TestRetention:
-    def test_old_record_purged(self, fig1_report):
-        collector = Collector(CollectorConfig(retention_seconds=24 * 3600))
+    def test_old_record_purged(self, fig1_report, tmp_path):
+        log = tmp_path / "records.ndjson"
+        collector = Collector(CollectorConfig(retention_seconds=24 * 3600,
+                                              log_path=str(log)))
         collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now=0)
         assert collector.purge_expired(now=25 * 3600 * 1000) == 1
-        assert collector.records == []
+        assert log.read_bytes() == b""
 
-    def test_boundary_exactly_retention_is_retained(self, fig1_report):
-        collector = Collector(CollectorConfig(retention_seconds=24 * 3600))
+    def test_boundary_exactly_retention_is_retained(self, fig1_report, tmp_path):
+        log = tmp_path / "records.ndjson"
+        collector = Collector(CollectorConfig(retention_seconds=24 * 3600,
+                                              log_path=str(log)))
         collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now=0)
         assert collector.purge_expired(now=24 * 3600 * 1000) == 0
-        assert len(collector.records) == 1
+        assert len(log.read_text().splitlines()) == 1
 
-    def test_infinite_retention_purges_nothing(self, fig1_report):
-        collector = Collector(CollectorConfig(retention_seconds=None))
+    def test_infinite_retention_purges_nothing(self, fig1_report, tmp_path):
+        log = tmp_path / "records.ndjson"
+        collector = Collector(CollectorConfig(retention_seconds=None,
+                                              log_path=str(log)))
+        collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now=0)
+        assert collector.purge_expired(now=10**15) == 0
+        assert len(log.read_text().splitlines()) == 1
+
+    def test_without_a_log_there_is_nothing_to_purge(self, fig1_report):
+        collector = Collector(CollectorConfig(retention_seconds=10))
         collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now=0)
         assert collector.purge_expired(now=10**15) == 0
 
@@ -209,7 +280,6 @@ class TestRetention:
         for now in (0, 20_000, 21_000, 22_000):
             collector.ingest(batch(report), "ip", "UA", now=now)
         before = log.read_text()
-        records = list(collector.records)
 
         def fail(fd):
             raise OSError("disk full")
@@ -218,7 +288,6 @@ class TestRetention:
         with pytest.raises(OSError, match="disk full"):
             collector.purge_expired(now=25_000)
         assert log.read_text() == before
-        assert collector.records == records
         assert [path.name for path in tmp_path.iterdir()] == [log.name]
 
     def test_purge_keeps_unexpired_records_of_an_earlier_run(self, fig1_report,
@@ -239,7 +308,6 @@ class TestRetention:
         assert [json.loads(line)["report"]["url"]
                 for line in log.read_text().splitlines()] == [
             "https://kept.example/", "https://new.example/"]
-        assert [r.report.url for r in restarted.records] == ["https://new.example/"]
 
     def test_purge_after_a_clock_step_keeps_logged_records(self, fig1_report,
                                                           tmp_path):
@@ -285,62 +353,34 @@ class TestRetention:
 
 class TestServedRetention:
     @pytest.fixture
-    def served(self):
-        collector = Collector(CollectorConfig(retention_seconds=10))
+    def served(self, tmp_path):
+        log = tmp_path / "records.ndjson"
+        collector = Collector(CollectorConfig(retention_seconds=10,
+                                              log_path=str(log)))
         server = make_server(collector, "127.0.0.1", 0)
         clock = [0]
         server.clock = lambda: clock[0]
-        yield collector, server, clock
+        yield collector, server, clock, log
         server.server_close()
 
     def test_expired_records_purged_between_requests(self, served, fig1_report):
-        collector, server, clock = served
+        collector, server, clock, log = served
         collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now=0)
         clock[0] = 10_001
         server.service_actions()
-        assert collector.records == []
+        assert log.read_bytes() == b""
 
     def test_purges_at_most_once_per_interval(self, served, fig1_report):
-        collector, server, clock = served
+        collector, server, clock, log = served
         report = fig1_nel_report(fig1_report)
         server.service_actions()  # purges at 0, next purge due at the interval
         collector.ingest(batch(report), "ip", "UA", now=0)
         clock[0] = PURGE_INTERVAL_MS - 1
         server.service_actions()
-        assert len(collector.records) == 1
+        assert len(log.read_text().splitlines()) == 1
         clock[0] = PURGE_INTERVAL_MS
         server.service_actions()
-        assert collector.records == []
-
-
-class TestExport:
-    def test_empty_store(self):
-        assert list(Collector(CollectorConfig()).export()) == []
-
-    def test_order_and_count(self, fig1_report):
-        collector = Collector(CollectorConfig())
-        report = fig1_nel_report(fig1_report)
-        collector.ingest(batch(report), "ip", "UA", now=1)
-        collector.ingest(batch(report), "ip", "UA", now=2)
-        lines = list(collector.export())
-        assert len(lines) == 2
-        assert [json.loads(line)["received_at"] for line in lines] == [1, 2]
-
-    def test_time_filter_excluding_all(self, fig1_report):
-        collector = Collector(CollectorConfig())
-        collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now=5)
-        assert list(collector.export(since=10)) == []
-        assert list(collector.export(until=4)) == []
-
-    def test_host_filter(self, fig1_report):
-        collector = Collector(CollectorConfig())
-        report = fig1_nel_report(fig1_report)
-        other = fig1_nel_report(fig1_report)
-        other.url = "https://other.example/"
-        collector.ingest(batch(report, other), "ip", "UA", now=1)
-        lines = list(collector.export(host="www.example.com"))
-        assert len(lines) == 1
-        assert json.loads(lines[0])["report"]["url"] == "https://www.example.com/"
+        assert log.read_bytes() == b""
 
 
 class TestConfig:

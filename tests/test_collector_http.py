@@ -53,11 +53,13 @@ EMIT = {
 
 
 def test_ingest_round_trip(http_collector):
-    collector, base_url = http_collector(CollectorConfig())
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(), batches.append)
     status, _, _ = post(base_url, fig1_batch())
     assert status == 200
-    assert len(collector.records) == 1
-    assert collector.records[0].user_agent == "test-agent/1.0"
+    [[record]] = batches
+    assert record.user_agent == "test-agent/1.0"
+    assert collector.stored == 1
 
 
 def test_response_carries_configured_policy_headers(http_collector):
@@ -84,17 +86,21 @@ def test_get_serves_policy_headers_too(http_collector):
 
 
 def test_malformed_body_400(http_collector):
-    collector, base_url = http_collector(CollectorConfig())
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(), batches.append)
     status, _, _ = post(base_url, b'[{"age":')
     assert status == 400
-    assert collector.records == []
+    assert batches == []
+    assert collector.stored == 0
 
 
 def test_wrong_media_type_400(http_collector):
-    collector, base_url = http_collector(CollectorConfig())
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(), batches.append)
     status, _, _ = post(base_url, fig1_batch(), content_type="application/json")
     assert status == 400
-    assert collector.records == []
+    assert batches == []
+    assert collector.stored == 0
 
 
 def raw_exchange(base_url: str, data: bytes) -> list[int]:
@@ -120,46 +126,56 @@ def raw_post(content_type: str, body: bytes, length: str | None = None,
 
 @pytest.mark.parametrize("length", ["abc", "-5"])
 def test_bad_content_length_400_and_close(http_collector, length):
-    collector, base_url = http_collector(CollectorConfig())
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(), batches.append)
     assert raw_exchange(base_url, raw_post(REPORT_MEDIA_TYPE, b"[]", length)) == [400]
-    assert collector.records == []
+    assert batches == []
+    assert collector.stored == 0
 
 
 def test_wrong_media_type_keeps_connection_in_sync(http_collector):
-    collector, base_url = http_collector(CollectorConfig())
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(), batches.append)
     requests = (raw_post("application/json", fig1_batch())
                 + raw_post(REPORT_MEDIA_TYPE, fig1_batch(), close=True))
     assert raw_exchange(base_url, requests) == [400, 200]
-    assert len(collector.records) == 1
+    assert len(batches) == 1
+    assert collector.stored == 1
 
 
 def test_log_write_failure_500_and_connection_kept(http_collector, tmp_path, caplog):
     log = tmp_path / "records.ndjson"
-    collector, base_url = http_collector(CollectorConfig(log_path=str(log)))
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(log_path=str(log)),
+                                         batches.append)
     log.unlink()
     log.mkdir()  # every append now fails with IsADirectoryError
     requests = (raw_post(REPORT_MEDIA_TYPE, fig1_batch())
                 + raw_post(REPORT_MEDIA_TYPE, fig1_batch(), close=True))
     assert raw_exchange(base_url, requests) == [500, 500]
-    assert collector.records == []
+    assert batches == []
+    assert collector.stored == 0
     assert "appending to the report log failed" in caplog.text
 
 
 def test_oversized_body_413(http_collector):
-    collector, base_url = http_collector(CollectorConfig())
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(), batches.append)
     status, _, _ = post(base_url, b"[" + b" " * (1024 * 1024) + b"]")
     assert status == 413
-    assert collector.records == []
+    assert batches == []
+    assert collector.stored == 0
 
 
 def test_volatile_mode_never_persists_client_ip(http_collector, tmp_path):
     log = tmp_path / "volatile.ndjson"
-    collector, base_url = http_collector(
-        CollectorConfig(ip_mode="volatile", log_path=str(log)))
+    batches = []
+    _, base_url = http_collector(
+        CollectorConfig(ip_mode="volatile", log_path=str(log)), batches.append)
     status, _, _ = post(base_url, fig1_batch())
     assert status == 200
     # The HTTP peer is 127.0.0.1; the literal must not reach the log.
-    assert collector.records[0].volatile_ip == "127.0.0.1"
+    assert batches[0][0].volatile_ip == "127.0.0.1"
     content = log.read_text()
     assert "127.0.0.1" not in content
     assert json.loads(content.splitlines()[0])["client_ip"] == "[redacted]"
@@ -176,5 +192,5 @@ def test_concurrent_ingests_all_logged(http_collector, tmp_path):
         thread.start()
     for thread in threads:
         thread.join()
-    assert len(collector.records) == 8
+    assert collector.stored == 8
     assert len(log.read_text().splitlines()) == 8

@@ -406,6 +406,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"unknown {member} 'sometimes'"):
             validate_config(config)
 
+    @pytest.mark.parametrize("member, value", [
+        ("visit.at", "soon"),
+        ("visit.at", True),
+        ("dns_mutation.at", "soon"),
+        ("mitm_window.start", 1.5),
+        ("mitm_window.end", "later"),
+        ("down.start", "soon"),
+        ("down.end", "later"),
+    ])
+    def test_non_integer_time_rejected(self, member, value):
+        from nellab.sim import MitmWindow
+
+        times = {"visit.at": 1, "dns_mutation.at": 1, "mitm_window.start": 1,
+                 "mitm_window.end": 2, "down.start": 1, "down.end": 2, member: value}
+        config = ScenarioConfig(
+            agents=[AgentSpec(name="a")],
+            dns={"x.example": "192.0.2.1"},
+            servers={"x.example": ServerSpec(
+                ip="192.0.2.1", down=[(times["down.start"], times["down.end"])])},
+            dns_mutations=[DnsMutation(at=times["dns_mutation.at"],
+                                       host="x.example", ip="192.0.2.2")],
+            mitm_windows=[MitmWindow(agent="a", host="x.example",
+                                     start=times["mitm_window.start"],
+                                     end=times["mitm_window.end"])],
+            visits=[Visit(at=times["visit.at"], agent="a", url="https://x.example/")])
+        with pytest.raises(ConfigError,
+                           match=f"must be an integer of milliseconds, got {value!r}"):
+            validate_config(config)
+
     def test_run_scenario_surfaces_config_error(self):
         config = ScenarioConfig(agents=[AgentSpec(name="a"), AgentSpec(name="a")])
         with pytest.raises(ConfigError):
