@@ -5,42 +5,4 @@ minimizing report collector, a deterministic scenario simulator, and a
 header-audit CLI.
 """
 
-from .headers import (
-    Endpoint,
-    EndpointGroup,
-    NelPolicyHeader,
-    NelReport,
-    ParseError,
-    REMOVAL,
-    Removal,
-    ReportBody,
-    parse_nel_header,
-    parse_report_batch,
-    parse_report_to_header,
-    serialize_nel_header,
-    serialize_report_batch,
-    serialize_report_to_header,
-)
-from .policy_store import PolicyStore, StoredPolicy, StoreEffect
-from .report_engine import (
-    DeliveryAttempt,
-    DeliveryTask,
-    ReportEngine,
-    RequestOutcome,
-    TransportResult,
-    apply_referrer_restriction,
-    capture_headers,
-)
-from .collector import Collector, CollectorConfig, RejectError, StoredRecord, minimize
-from .sim import (
-    AgentSpec,
-    ConfigError,
-    ScenarioConfig,
-    ScenarioTrace,
-    builtin_scenarios,
-    diff_traces,
-    run_scenario,
-)
-from .audit import AuditFinding, analyze_headers
-
 __version__ = "0.1.0"

@@ -21,8 +21,9 @@ from .audit import (
     parse_headers_file,
     render_findings,
 )
-from .collector import Collector, CollectorConfig, make_server
+from .collector import Collector, CollectorConfig
 from .headers import ParseError
+from .server import make_server
 from .sim import ConfigError, builtin_scenarios, config_from_dict, run_scenario
 
 SEED_ENV_VAR = "NEL_LAB_SEED"

@@ -17,10 +17,10 @@ import ipaddress
 import json
 import logging
 import os
+import re
 import threading
-import time
 from dataclasses import dataclass, field, replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 from urllib.parse import urlsplit, urlunsplit
@@ -30,7 +30,6 @@ from .headers import (
     NelPolicyHeader,
     NelReport,
     ParseError,
-    REPORT_MEDIA_TYPE,
     Removal,
     group_from_dict,
     group_to_dict,
@@ -47,10 +46,6 @@ logger = logging.getLogger(__name__)
 IP_MODES = ("volatile", "truncate", "full")
 
 MAX_BODY_BYTES = 1024 * 1024
-
-# The serving collector drops expired records at most once per this much
-# server-clock time.
-PURGE_INTERVAL_MS = 60_000
 
 REDACTED = "[redacted]"
 
@@ -130,13 +125,6 @@ class CollectorConfig:
         return data
 
 
-def parse_listen(listen: str) -> tuple[str, int]:
-    host, _, port = listen.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"listen address must be host:port, got {listen!r}")
-    return host, int(port)
-
-
 def strip_query(url: str) -> str:
     if not url:
         return url
@@ -209,6 +197,9 @@ class Collector:
         self.stored = 0
         self._sink = sink
         self._lock = threading.Lock()
+        # Set while an append has not completed; a failed one may have left
+        # a torn last line.
+        self._torn = False
         # The config does not change, so the emitted headers are serialized once.
         self._response_headers: dict[str, str] = {}
         if config.emit_nel is not None:
@@ -218,10 +209,7 @@ class Collector:
             }
         if config.log_path is not None:
             Path(config.log_path).parent.mkdir(parents=True, exist_ok=True)
-            with open(config.log_path, "ab+") as log:
-                log.seek(max(log.tell() - 1, 0))
-                if log.read(1) not in (b"", b"\n"):  # an append torn by a crash
-                    log.write(b"\n")
+            _end_torn_line(config.log_path)  # an append torn by a crash
 
     def ingest(self, body: bytes, client_ip: str, user_agent: str, now: int) -> int:
         """Minimize and store every report in the batch; returns the count."""
@@ -249,8 +237,12 @@ class Collector:
         with self._lock:
             # Disk first: a failed append reaches neither the count nor the sink.
             if self.config.log_path is not None:
+                if self._torn:
+                    _end_torn_line(self.config.log_path)
+                self._torn = True  # until the append completes
                 with open(self.config.log_path, "a", encoding="utf-8") as log:
                     log.write("".join(record.to_line() + "\n" for record in records))
+                self._torn = False
             self.stored += len(records)
             if self._sink is not None:
                 self._sink(records)
@@ -273,124 +265,60 @@ class Collector:
             return _purge_log(self.config.log_path, now - retention * 1000)
 
 
+def _end_torn_line(log_path: str) -> None:
+    """Create the log, or end its last line if an append left it torn."""
+    with open(log_path, "ab+") as log:
+        log.seek(max(log.tell() - 1, 0))
+        if log.read(1) not in (b"", b"\n"):
+            log.write(b"\n")
+
+
+# A compact leading timestamp, as ``StoredRecord.to_line`` writes it.
+_LEADING_STAMP = re.compile(rb'\{"received_at":(\d+),')
+
+
+def _expired(line: bytes, oldest: int) -> bool:
+    """Whether a log line was received before ``oldest``; one that cannot be
+    dated was not."""
+    # A leading timestamp that is the line's only "received_at" key proves
+    # the line unexpired without a parse; a \u escape could spell another.
+    stamp = _LEADING_STAMP.match(line)
+    if (stamp and int(stamp[1]) >= oldest and b"\\u" not in line
+            and line.count(b'"received_at"') == 1):
+        return False
+    try:
+        return json.loads(line)["received_at"] < oldest
+    except (ValueError, KeyError, TypeError):
+        return False
+
+
 def _purge_log(log_path: str, oldest: int) -> int:
     """Drop the log lines received before ``oldest``; returns how many.
 
-    The other lines, including any that cannot be dated, are copied verbatim
-    to a temporary file that replaces the log only when a line was dropped.
-    A failure leaves the old log whole.
+    Nothing is written unless a line expired. Then the other lines,
+    including any that cannot be dated, are copied verbatim to a temporary
+    file that replaces the log. A failure leaves the old log whole.
     """
     temp_path = log_path + ".tmp"
-    dropped = 0
     try:
-        with open(log_path, "rb") as log, open(temp_path, "wb") as temp:
-            for line in log:
-                try:
-                    expired = json.loads(line)["received_at"] < oldest
-                except (ValueError, KeyError, TypeError):
-                    expired = False
-                if expired:
-                    dropped += 1
-                else:
-                    temp.write(line)
-            if dropped:
+        with open(log_path, "rb") as log:
+            for kept, line in enumerate(log):
+                if _expired(line, oldest):
+                    break
+            else:
+                return 0
+            with open(temp_path, "wb") as temp:
+                with open(log_path, "rb") as head:
+                    temp.writelines(islice(head, kept))
+                dropped = 1
+                for line in log:
+                    if _expired(line, oldest):
+                        dropped += 1
+                    else:
+                        temp.write(line)
                 temp.flush()
                 os.fsync(temp.fileno())
-        if dropped:
-            os.replace(temp_path, log_path)
+        os.replace(temp_path, log_path)
     finally:
         Path(temp_path).unlink(missing_ok=True)
     return dropped
-
-
-class _CollectorHandler(BaseHTTPRequestHandler):
-    server_version = "nel-lab-collector/0.1"
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-
-    def _respond(self, status: int, extra_headers: dict[str, str] | None = None):
-        self.send_response(status)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def do_POST(self):
-        collector: Collector = self.server.collector  # type: ignore[attr-defined]
-        declared = self.headers.get("Content-Length") or "0"
-        if not (declared.isascii() and declared.isdigit()):
-            # The body's extent is unknown, so the connection cannot be reused.
-            self._respond(400)
-            self.close_connection = True
-            return
-        length = int(declared)
-        if length > MAX_BODY_BYTES:
-            # Drain modestly oversized bodies so the client can read the 413
-            # instead of dying on a broken pipe; beyond the cap, just close.
-            remaining = min(length, 4 * MAX_BODY_BYTES)
-            while remaining > 0:
-                chunk = self.rfile.read(min(remaining, 65536))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            self._respond(413)
-            self.close_connection = True
-            return
-        # Read the body before any other answer, so the next request on a
-        # keep-alive connection starts at the right offset.
-        body = self.rfile.read(length)
-        content_type = self.headers.get("Content-Type", "")
-        if not content_type.startswith(REPORT_MEDIA_TYPE):
-            self._respond(400)
-            return
-        try:
-            collector.ingest(body, self.client_address[0],
-                             self.headers.get("User-Agent", ""),
-                             self.server.clock())  # type: ignore[attr-defined]
-        except RejectError as exc:
-            self._respond(exc.status)
-        except OSError:
-            logger.exception("appending to the report log failed")
-            self._respond(500)
-        else:
-            self._respond(200, collector.response_headers())
-
-    def do_GET(self):
-        # A collector that deploys NEL itself serves its policy on every
-        # response, uploads and plain fetches alike.
-        collector: Collector = self.server.collector  # type: ignore[attr-defined]
-        self._respond(200, collector.response_headers())
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        logger.debug("%s %s", self.address_string(), format % args)
-
-
-class _CollectorServer(ThreadingHTTPServer):
-    """Serves one collector and enforces its retention between requests."""
-
-    def __init__(self, address: tuple[str, int], collector: Collector):
-        super().__init__(address, _CollectorHandler)
-        self.collector = collector
-        self._next_purge_at = 0
-
-    def clock(self) -> int:
-        return int(time.time() * 1000)
-
-    def service_actions(self):
-        # serve_forever calls this on every poll, about twice a second.
-        now = self.clock()
-        if now < self._next_purge_at:
-            return
-        self._next_purge_at = now + PURGE_INTERVAL_MS
-        try:
-            self.collector.purge_expired(now)
-        except OSError:
-            logger.exception("purging expired records failed")
-
-
-def make_server(collector: Collector, host: str | None = None,
-                port: int | None = None) -> ThreadingHTTPServer:
-    """Bind the ingestion HTTP server; caller decides how to run it."""
-    if host is None or port is None:
-        host, port = parse_listen(collector.config.listen)
-    return _CollectorServer((host, port), collector)

@@ -1,0 +1,120 @@
+"""The collector's HTTP service: one threaded server in front of a Collector.
+
+Kept apart from ``collector`` so that the simulator, which runs collectors
+in memory, never imports the standard library's HTTP stack.
+"""
+
+from __future__ import annotations
+
+import logging
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from .collector import Collector, MAX_BODY_BYTES, RejectError
+from .headers import REPORT_MEDIA_TYPE
+
+logger = logging.getLogger("nellab.collector")
+
+# The serving collector drops expired records at most once per this much
+# server-clock time.
+PURGE_INTERVAL_MS = 60_000
+
+
+def parse_listen(listen: str) -> tuple[str, int]:
+    host, _, port = listen.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"listen address must be host:port, got {listen!r}")
+    return host, int(port)
+
+
+class _CollectorHandler(BaseHTTPRequestHandler):
+    server_version = "nel-lab-collector/0.1"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def _respond(self, status: int, extra_headers: dict[str, str] | None = None):
+        self.send_response(status)
+        for name, value in (extra_headers or {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def do_POST(self):
+        collector: Collector = self.server.collector  # type: ignore[attr-defined]
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            # The body's extent is unknown, so the connection cannot be reused.
+            self._respond(400)
+            self.close_connection = True
+            return
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            # Drain modestly oversized bodies so the client can read the 413
+            # instead of dying on a broken pipe; beyond the cap, just close.
+            remaining = min(length, 4 * MAX_BODY_BYTES)
+            while remaining > 0:
+                chunk = self.rfile.read(min(remaining, 65536))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
+            self._respond(413)
+            self.close_connection = True
+            return
+        # Read the body before any other answer, so the next request on a
+        # keep-alive connection starts at the right offset.
+        body = self.rfile.read(length)
+        content_type = self.headers.get("Content-Type", "")
+        if not content_type.startswith(REPORT_MEDIA_TYPE):
+            self._respond(400)
+            return
+        try:
+            collector.ingest(body, self.client_address[0],
+                             self.headers.get("User-Agent", ""),
+                             self.server.clock())  # type: ignore[attr-defined]
+        except RejectError as exc:
+            self._respond(exc.status)
+        except OSError:
+            logger.exception("appending to the report log failed")
+            self._respond(500)
+        else:
+            self._respond(200, collector.response_headers())
+
+    def do_GET(self):
+        # A collector that deploys NEL itself serves its policy on every
+        # response, uploads and plain fetches alike.
+        collector: Collector = self.server.collector  # type: ignore[attr-defined]
+        self._respond(200, collector.response_headers())
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        logger.debug("%s %s", self.address_string(), format % args)
+
+
+class _CollectorServer(ThreadingHTTPServer):
+    """Serves one collector and enforces its retention between requests."""
+
+    def __init__(self, address: tuple[str, int], collector: Collector):
+        super().__init__(address, _CollectorHandler)
+        self.collector = collector
+        self._next_purge_at = 0
+
+    def clock(self) -> int:
+        return int(time.time() * 1000)
+
+    def service_actions(self):
+        # serve_forever calls this on every poll, about twice a second.
+        now = self.clock()
+        if now < self._next_purge_at:
+            return
+        self._next_purge_at = now + PURGE_INTERVAL_MS
+        try:
+            self.collector.purge_expired(now)
+        except OSError:
+            logger.exception("purging expired records failed")
+
+
+def make_server(collector: Collector, host: str | None = None,
+                port: int | None = None) -> ThreadingHTTPServer:
+    """Bind the ingestion HTTP server; caller decides how to run it."""
+    if host is None or port is None:
+        host, port = parse_listen(collector.config.listen)
+    return _CollectorServer((host, port), collector)

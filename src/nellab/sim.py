@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from urllib.parse import urlsplit
@@ -122,10 +123,15 @@ class ScenarioConfig:
     collectors: dict[str, CollectorConfig] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One trace entry; every ``data`` value is a JSON scalar (str, int,
-    float, bool or None), never a list or an object."""
+    float, bool or None), never a list or an object.
+
+    A run holds every event until its trace is written, so events are
+    slotted and the world passes one shared string for each value that
+    repeats (hosts, report types, phases, addresses).
+    """
 
     kind: str
     at: int
@@ -148,14 +154,19 @@ class ScenarioTrace:
 
     def to_json(self) -> str:
         """The document ``json.dumps(..., indent=2, sort_keys=True)`` gives,
-        byte for byte; relies on events holding only scalars."""
-        events = "[]"
+        byte for byte; relies on events holding only scalars.
+
+        The document is joined once from a flat list of its pieces, so no
+        partial copy of it is ever built.
+        """
+        parts = ['{\n  "events": [']
+        for event in self.events:
+            parts += ("\n    {\n      ", _encode_event(event.to_dict())[1:-1], "\n    },")
         if self.events:
-            events = "[\n    {\n      " + "\n    },\n    {\n      ".join(
-                _encode_event(event.to_dict())[1:-1] for event in self.events
-            ) + "\n    }\n  ]"
-        return (f'{{\n  "events": {events},\n  "name": {json.dumps(self.name)},\n'
-                f'  "seed": {json.dumps(self.seed)}\n}}\n')
+            parts[-1] = "\n    }\n  "
+        parts.append(f'],\n  "name": {json.dumps(self.name)},\n'
+                     f'  "seed": {json.dumps(self.seed)}\n}}\n')
+        return "".join(parts)
 
     def to_json_bytes(self) -> bytes:
         return self.to_json().encode("utf-8")
@@ -373,9 +384,9 @@ class _World:
         self._held_stored.extend(TraceEvent("report_stored", record.received_at, {
             "collector": host,
             "url": record.report.url,
-            "report_type": record.report.body.type,
-            "phase": record.report.body.phase,
-            "server_ip": record.report.body.server_ip,
+            "report_type": sys.intern(record.report.body.type),
+            "phase": sys.intern(record.report.body.phase),
+            "server_ip": sys.intern(record.report.body.server_ip),
         }) for record in records)
 
     def flush_stored(self) -> None:
@@ -465,7 +476,7 @@ class _World:
         agent = self.agents[visit.agent]
         now = visit.at
         parts = urlsplit(visit.url)
-        host = (parts.hostname or "").lower()
+        host = sys.intern((parts.hostname or "").lower())
         resolved = self.dns.get(host, "")
         server = self.servers.get(host)
 
@@ -519,7 +530,8 @@ class _World:
                     break
                 for attempt in attempts:
                     if attempt.result == "delivered" and attempt.response_headers:
-                        host = (urlsplit(attempt.endpoint).hostname or "").lower()
+                        host = sys.intern((urlsplit(attempt.endpoint).hostname
+                                           or "").lower())
                         self._process_response_headers(
                             agent, host, True, attempt.response_headers, now)
 

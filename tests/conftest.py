@@ -3,7 +3,8 @@ import threading
 import pytest
 from hypothesis.internal import charmap
 
-from nellab.collector import Collector, CollectorConfig, make_server
+from nellab.collector import Collector, CollectorConfig
+from nellab.server import make_server
 
 
 def pytest_collection_finish(session):

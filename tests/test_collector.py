@@ -1,19 +1,24 @@
 """Collector core: minimization, IP handling, the log, the sink, retention."""
 
+import errno
 import ipaddress
 import json
 import logging
+import os
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nellab.collector import (
     Collector,
     CollectorConfig,
-    PURGE_INTERVAL_MS,
     REDACTED,
     RejectError,
-    make_server,
+    StoredRecord,
+    _purge_log,
     minimize,
     persisted_ip,
 )
@@ -24,6 +29,7 @@ from nellab.headers import (
     parse_report_to_header,
     serialize_report_batch,
 )
+from nellab.server import PURGE_INTERVAL_MS, make_server
 
 
 def fig1_nel_report(fig1_report) -> NelReport:
@@ -202,6 +208,47 @@ class TestLog:
                 for line in (lines[0], lines[2])] == [1, 3]
         assert len(lines) == 3
 
+    def test_failed_append_is_ended_before_the_next(self, fig1_report, tmp_path,
+                                                    monkeypatch):
+        log = tmp_path / "records.ndjson"
+        collector = Collector(CollectorConfig(log_path=str(log)))
+        body = batch(fig1_nel_report(fig1_report))
+        collector.ingest(body, "ip", "UA", now=1)
+        real_open = open
+
+        class HalfWrite:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:len(text) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return HalfWrite(handle) if mode == "a" else handle
+
+        monkeypatch.setattr("nellab.collector.open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            collector.ingest(body, "ip", "UA", now=2)
+        monkeypatch.undo()
+        collector.ingest(body, "ip", "UA", now=3)
+        lines = log.read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith('{"received_at":2,')
+        assert [json.loads(line)["received_at"]
+                for line in (lines[0], lines[2])] == [1, 3]
+        assert collector.stored == 2
+
     def test_opening_leaves_a_whole_log_alone(self, fig1_report, tmp_path):
         log = tmp_path / "records.ndjson"
         Collector(CollectorConfig(log_path=str(log)))
@@ -349,6 +396,118 @@ class TestRetention:
         assert collector.purge_expired(now=10_000) == 0
         assert log.stat().st_ino == before.st_ino
         assert [path.name for path in tmp_path.iterdir()] == [log.name]
+
+
+    def test_purge_with_nothing_expired_writes_nothing(self, fig1_report,
+                                                        tmp_path, monkeypatch):
+        log = tmp_path / "records.ndjson"
+        collector = Collector(CollectorConfig(retention_seconds=10,
+                                              log_path=str(log)))
+        for now in range(0, 5_000, 1_000):
+            collector.ingest(batch(fig1_nel_report(fig1_report)), "ip", "UA", now)
+        modes = []
+        real_open = open
+
+        def watched_open(file, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called on a purge that drops nothing")
+
+        monkeypatch.setattr("nellab.collector.open", watched_open, raising=False)
+        monkeypatch.setattr("nellab.collector.os.fsync", refuse)
+        # Compact lines whose leading timestamp is recent are not parsed.
+        monkeypatch.setattr("nellab.collector.json.loads", refuse)
+        assert collector.purge_expired(now=10_000) == 0
+        assert modes == ["rb"]
+
+
+def reference_purge_log(log_path: str, oldest: int) -> int:
+    """The purge that parses every line and always writes a copy."""
+    temp_path = log_path + ".tmp"
+    dropped = 0
+    try:
+        with open(log_path, "rb") as log, open(temp_path, "wb") as temp:
+            for line in log:
+                try:
+                    expired = json.loads(line)["received_at"] < oldest
+                except (ValueError, KeyError, TypeError):
+                    expired = False
+                if expired:
+                    dropped += 1
+                else:
+                    temp.write(line)
+            if dropped:
+                temp.flush()
+                os.fsync(temp.fileno())
+        if dropped:
+            os.replace(temp_path, log_path)
+    finally:
+        Path(temp_path).unlink(missing_ok=True)
+    return dropped
+
+
+def record_line(at: int, url: str) -> bytes:
+    body = ReportBody(sampling_fraction=1.0, referrer="", server_ip="192.0.2.1",
+                      protocol="h2", method="GET", request_headers={},
+                      response_headers={}, status_code=200, elapsed_time=0,
+                      phase="application", type="ok")
+    return StoredRecord(received_at=at, report=NelReport(age=0, url=url, body=body),
+                        client_ip="ip", user_agent="UA").to_line().encode()
+
+
+stamps = st.integers(-1, 4)
+records = st.builds(record_line, stamps,
+                    st.text(alphabet=st.sampled_from('a"\\é_,:{}'), max_size=6))
+
+
+@st.composite
+def altered_records(draw) -> bytes:
+    line = draw(records)
+    kind = draw(st.sampled_from(["spaced", "torn", "not utf-8"]))
+    if kind == "spaced":
+        return json.dumps(json.loads(line)).encode()
+    cut = draw(st.integers(0, len(line)))
+    if kind == "torn":
+        return line[:cut]
+    return line[:cut] + b"\xff" + line[cut:]
+
+
+odd_lines = st.one_of(
+    st.builds(lambda a, b: b'{"received_at":%d,"received_at":%d}' % (a, b),
+              stamps, stamps),
+    st.builds(lambda a, b: b'{"received_at":%d,"received\\u005fat":%d}' % (a, b),
+              stamps, stamps),
+    st.builds(lambda a, b: b'{"received_at":%d,"x":{"received_at":%d}}' % (a, b),
+              stamps, stamps),
+    st.sampled_from([b'{"received_at":"9","x":1}', b'{"received_at":9.5,"x":1}',
+                     b'{"received_at":true,"x":1}', b'{"received_at":null,"x":1}',
+                     b'{"received_at":09,"x":1}', b'{"received_at":-1,"x":1}',
+                     b'[{"received_at":1}]', b'{"x":1}', b'']),
+    st.binary(max_size=12),
+)
+
+
+class TestPurgeShortcut:
+    # Each example writes and fsyncs files, whose time depends on the disk.
+    @settings(deadline=None)
+    @example(lines=[record_line(0, "a"), record_line(1, "a")], end=b"\n", oldest=1)
+    @example(lines=[b'{"received_at":3,"received_at":0}',
+                    b'{"received_at":3,"received\\u005fat":0}'], end=b"", oldest=1)
+    @given(lines=st.lists(records | altered_records() | odd_lines, max_size=8),
+           end=st.sampled_from([b"\n", b""]), oldest=stamps)
+    def test_drops_what_parsing_every_line_drops(self, lines, end, oldest):
+        document = b"\n".join(lines) + end
+        with tempfile.TemporaryDirectory() as work:
+            ours, reference = Path(work, "ours.ndjson"), Path(work, "reference.ndjson")
+            ours.write_bytes(document)
+            reference.write_bytes(document)
+            assert _purge_log(str(ours), oldest) == reference_purge_log(
+                str(reference), oldest)
+            assert ours.read_bytes() == reference.read_bytes()
+            assert sorted(path.name for path in Path(work).iterdir()) == [
+                "ours.ndjson", "reference.ndjson"]
 
 
 class TestServedRetention:

@@ -4,7 +4,10 @@ import copy
 import gc
 import hashlib
 import json
+import subprocess
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nellab.collector import CollectorConfig
+from nellab.report_engine import MAX_ATTEMPTS
 from nellab.sim import (
     AgentSpec,
     ConfigError,
@@ -24,6 +28,7 @@ from nellab.sim import (
     ServerSpec,
     TraceEvent,
     Visit,
+    _World,
     _emit_config,
     builtin_scenarios,
     config_from_dict,
@@ -510,6 +515,95 @@ class TestWorldMechanics:
         trace = run_scenario(config)
         queued = events_of(trace, "report_queued")
         assert [e.data["report_type"] for e in queued] == ["http.error"]
+
+    def test_oversized_batch_gets_413_until_abandoned(self):
+        # Reports made in one instant go up in one batch; 500 reports on
+        # 2,000-character URLs make it larger than the collector accepts.
+        visits = 500
+        config = ScenarioConfig(
+            agents=[AgentSpec(name="a")],
+            dns={"x.example": "192.0.2.1", "c.example": "192.0.2.2"},
+            servers={"x.example": ServerSpec(ip="192.0.2.1", paths={
+                "/": PathSpec(headers={
+                    "NEL": '{"report_to":"g","max_age":600,"success_fraction":1.0}',
+                    "Report-To": '{"group":"g","max_age":600,'
+                                 '"endpoints":[{"url":"https://c.example/u"}]}',
+                }),
+            })},
+            collectors={"c.example": CollectorConfig()},
+            visits=[Visit(at=1_000, agent="a",
+                          url=f"https://x.example/{i:04d}{'x' * 2_000}")
+                    for i in range(visits)])
+        world = _World(config)
+        trace = world.run()
+        assert len(events_of(trace, "report_queued")) == visits
+        attempts = events_of(trace, "delivery_attempt")
+        assert [(e.at, e.data["result"], e.data["status"], e.data["reports"])
+                for e in attempts] == [
+            (1_000, "http_error", 413, visits), (61_000, "http_error", 413, visits),
+            (181_000, "http_error", 413, visits)]
+        assert len(attempts) == MAX_ATTEMPTS
+        # Abandoned: nothing stored, nothing left queued, and no meta-report,
+        # since the browser holds no policy for the collector's host.
+        assert not events_of(trace, "report_stored")
+        assert not events_of(trace, "meta_report_queued")
+        assert world.agents["a"].engine.pending() == []
+
+
+# -- footprint -----------------------------------------------------------------
+
+
+def test_importing_the_simulator_leaves_out_the_http_stack():
+    stack = ("http.server", "http.client", "ssl", "socketserver", "email",
+             "concurrent.futures")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, nellab.sim; print([m for m in {stack!r} if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def chain_config(visits: int, sites: int = 8, agents: int = 4) -> ScenarioConfig:
+    """Sites reporting every visit to per-site collectors, each of which
+    serves a policy that points at one upstream collector."""
+    dns = {"up.example": "198.18.2.1"}
+    servers = {"up.example": ServerSpec(ip="198.18.2.1")}
+    collectors = {"up.example": CollectorConfig()}
+    for i in range(sites):
+        site, coll = f"site{i}.example", f"c{i}.example"
+        dns[site], dns[coll] = f"198.18.0.{i + 1}", f"198.18.1.{i + 1}"
+        servers[site] = ServerSpec(ip=dns[site], paths={"/": PathSpec(headers={
+            "NEL": '{"report_to":"site","max_age":86400,"success_fraction":1.0}',
+            "Report-To": '{"group":"site","max_age":86400,'
+                         f'"endpoints":[{{"url":"https://{coll}/up"}}]}}'})})
+        collectors[coll] = _emit_config("up", "https://up.example/up")
+    return ScenarioConfig(
+        name="chain_footprint", agents=[AgentSpec(name=f"a{i}") for i in range(agents)],
+        dns=dns, servers=servers, collectors=collectors,
+        visits=[Visit(at=1_000 + 100 * i, agent=f"a{i % agents}",
+                      url=f"https://site{i % sites}.example/p{i % 50}",
+                      referrer=f"https://site{(i + 1) % sites}.example/")
+                for i in range(visits)])
+
+
+def test_a_run_holds_little_more_than_its_events():
+    """Bytes still allocated after a run, per trace event: slotted events
+    that share their repeated strings hold about 350 here; un-slotted events
+    with a fresh copy of each repeated value held about 445."""
+    config = chain_config(1_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_scenario(config)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(events_of(trace, "report_stored")) == 1_000
+    per_event = held / len(trace.events)
+    assert per_event < 390, f"{per_event:.0f} B held per event"
 
 
 # -- complexity ----------------------------------------------------------------
