@@ -137,11 +137,15 @@ def cmd_collect(args: argparse.Namespace) -> int:
         print(f"error: bad collector config {args.config}: {exc}", file=sys.stderr)
         return 2
 
-    collector = Collector(config)
+    try:
+        collector = Collector(config)
+    except OSError as exc:
+        print(f"error: cannot open log {config.log_path}: {exc}", file=sys.stderr)
+        return 2
     try:
         server = make_server(collector)
-    except OSError as exc:
-        print(f"error: cannot bind {config.listen}: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot bind {config.listen!r}: {exc}", file=sys.stderr)
         return 2
     host, port = server.server_address[:2]
     print(f"collector listening on {host}:{port} ip_mode={config.ip_mode} "

@@ -39,7 +39,7 @@ SUCCESS_TYPE = "ok"
 
 @dataclass
 class RequestOutcome:
-    """The observed result of one fetch."""
+    """The result of one fetch, observed at the ``now`` given to ``observe``."""
 
     url: str
     referrer: str
@@ -50,7 +50,6 @@ class RequestOutcome:
     elapsed_time: int
     phase: str  # dns | connection | application
     result_type: str  # "ok" or an error type like "dns.name_not_resolved"
-    event_time: int
     request_headers: dict[str, str] = field(default_factory=dict)
     response_headers: dict[str, str] = field(default_factory=dict)
 
@@ -66,7 +65,7 @@ class RequestOutcome:
 
     @property
     def host(self) -> str:
-        return (urlsplit(self.url).hostname or "").lower()
+        return urlsplit(self.url).hostname or ""
 
 
 @dataclass(frozen=True)
@@ -93,14 +92,13 @@ class DeliveryTask:
     """One report waiting in the delivery queue.
 
     Tasks compare by identity: two reports with equal contents are still
-    two tasks. ``seq`` is the engine's insertion counter, which orders tasks
-    that fall due together.
+    two tasks. Report age counts from ``event_time``. ``seq`` is the
+    engine's insertion counter, which orders tasks that fall due together.
     """
 
     report: NelReport
     group: EndpointGroup
     event_time: int
-    next_attempt_at: int
     attempts: int = 0
     is_meta: bool = False
     failed_endpoints: set[str] = field(default_factory=set)
@@ -154,6 +152,7 @@ class ReportEngine:
 
     ``sink``, when given, receives ``(kind, at, data)`` engine events:
     ``report_queued``, ``meta_report_queued``, and ``delivery_attempt``.
+    Each ``data`` dict is new, and the sink may keep or change it.
     """
 
     def __init__(self, store: PolicyStore, rng: random.Random,
@@ -166,7 +165,7 @@ class ReportEngine:
         self.referrer_mode = referrer_mode
         self._sink = sink
         # Queued tasks by seq, in insertion order, and a heap of
-        # (next_attempt_at, seq) over them.
+        # (due time, seq) over them.
         self._tasks: dict[int, DeliveryTask] = {}
         self._queue: list[tuple[int, int]] = []
         self._seq = 0
@@ -175,7 +174,7 @@ class ReportEngine:
 
     def observe(self, outcome: RequestOutcome, now: int,
                 is_meta: bool = False) -> DeliveryTask | None:
-        """Sample one outcome against the governing policy and queue a report."""
+        """Sample an outcome seen at ``now`` against its policy and queue a report."""
         found = self.store.lookup(outcome.host, now)
         if found is None:
             return None
@@ -205,33 +204,26 @@ class ReportEngine:
             type=outcome.result_type,
         )
         task = DeliveryTask(
-            report=NelReport(age=max(0, now - outcome.event_time),
-                             url=outcome.url, body=body),
+            report=NelReport(age=0, url=outcome.url, body=body),
             group=stored.endpoint_group(),
-            event_time=outcome.event_time,
-            next_attempt_at=now,
+            event_time=now,
             is_meta=is_meta,
             seq=self._seq,
         )
         self._seq += 1
         self._tasks[task.seq] = task
         heapq.heappush(self._queue, (now, task.seq))
+        event = {
+            "url": outcome.url,
+            "phase": outcome.phase,
+            "group": task.group.name,
+            "sampling_fraction": fraction,
+        }
         if is_meta:
-            self._emit("meta_report_queued", now, {
-                "url": outcome.url,
-                "collector": outcome.host,
-                "phase": outcome.phase,
-                "group": task.group.name,
-                "sampling_fraction": fraction,
-            })
+            event["collector"] = outcome.host
         else:
-            self._emit("report_queued", now, {
-                "url": outcome.url,
-                "report_type": outcome.result_type,
-                "phase": outcome.phase,
-                "group": task.group.name,
-                "sampling_fraction": fraction,
-            })
+            event["report_type"] = outcome.result_type
+        self._emit("meta_report_queued" if is_meta else "report_queued", now, event)
         return task
 
     # -- delivery --------------------------------------------------------------
@@ -262,7 +254,7 @@ class ReportEngine:
                 task.report.age = max(0, now - task.event_time)
             body = serialize_report_batch([t.report for t in tasks])
             result = transport(url, body, now)
-            attempt = DeliveryAttempt(
+            attempts.append(DeliveryAttempt(
                 at=now,
                 endpoint=url,
                 group=group_name,
@@ -270,8 +262,7 @@ class ReportEngine:
                 status_code=result.status_code,
                 report_count=len(tasks),
                 response_headers=result.response_headers,
-            )
-            attempts.append(attempt)
+            ))
             self._emit("delivery_attempt", now, {
                 "endpoint": url,
                 "group": group_name,
@@ -290,8 +281,8 @@ class ReportEngine:
                         del self._tasks[task.seq]
                         self._queue_meta_report(url, result, now)
                     else:
-                        task.next_attempt_at = now + self.backoff(task.attempts)
-                        heapq.heappush(queue, (task.next_attempt_at, task.seq))
+                        heapq.heappush(queue, (now + self.backoff(task.attempts),
+                                               task.seq))
         return attempts
 
     def _choose_endpoint(self, task: DeliveryTask):
@@ -335,7 +326,6 @@ class ReportEngine:
             elapsed_time=0,
             phase=phase,
             result_type=result_type,
-            event_time=now,
         )
         self.observe(outcome, now, is_meta=True)
 

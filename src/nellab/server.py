@@ -21,8 +21,8 @@ PURGE_INTERVAL_MS = 60_000
 
 
 def parse_listen(listen: str) -> tuple[str, int]:
-    host, _, port = listen.rpartition(":")
-    if not host or not port.isdigit():
+    host, _, port = listen.rpartition(":") if isinstance(listen, str) else ("", "", "")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ValueError(f"listen address must be host:port, got {listen!r}")
     return host, int(port)
 
@@ -31,6 +31,14 @@ class _CollectorHandler(BaseHTTPRequestHandler):
     server_version = "nel-lab-collector/0.1"
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+
+    def send_response_only(self, code, message=None):
+        # The stdlib sends no status line or headers to what it takes for an
+        # HTTP/0.9 request: a line naming HTTP/0.9, naming no version, or one
+        # it rejects before it has read a version.
+        if self.request_version == "HTTP/0.9":
+            self.request_version = self.protocol_version
+        super().send_response_only(code, message)
 
     def _respond(self, status: int, extra_headers: dict[str, str] | None = None):
         self.send_response(status)

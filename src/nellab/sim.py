@@ -30,7 +30,7 @@ from urllib.parse import urlsplit
 from .collector import Collector, CollectorConfig, RejectError, StoredRecord
 from .headers import Endpoint, EndpointGroup, NelPolicyHeader, serialize_nel_header, \
     serialize_report_to_header
-from .policy_store import CONSENT_MODES, PolicyStore, StoreEffect, SUBDOMAIN_MODES
+from .policy_store import CONSENT_MODES, PolicyStore, SUBDOMAIN_MODES
 from .report_engine import REFERRER_MODES, ReportEngine, RequestOutcome, \
     TransportResult, UNREACHABLE
 
@@ -214,19 +214,20 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return data
 
 
-_JSON_KINDS = {list: "array", dict: "object"}
+_JSON_KINDS = {list: "array", dict: "object", str: "string", int: "integer",
+               bool: "boolean"}
 
 # The list and dict members of each entry type that has any, told apart by
 # their default factories.
 _CONTAINERS = {
     cls: [(f.name, f.default_factory) for f in fields(cls)
-          if f.default_factory in _JSON_KINDS]
+          if f.default_factory in (list, dict)]
     for cls in (ScenarioConfig, AgentSpec, ServerSpec, PathSpec, MitmWindow)
 }
 
 
 def _checked(value, kind: type, where: str):
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"{where} must be a JSON {_JSON_KINDS[kind]}")
     return value
 
@@ -272,22 +273,39 @@ def _check_times(what: str, *times) -> None:
                               f"got {at!r}")
 
 
+def _check_members(entry, where: str, **kinds: type) -> None:
+    for member, kind in kinds.items():
+        _checked(getattr(entry, member), kind, f"{where}.{member}")
+
+
+def _check_headers(headers: dict, where: str) -> None:
+    for name, value in headers.items():
+        _checked(value, str, f"{where}.headers[{name!r}]")
+
+
 def validate_config(config: ScenarioConfig) -> None:
     """Raise :class:`ConfigError` naming the first offending entry."""
-    names = [a.name for a in config.agents]
-    if len(set(names)) != len(names):
-        raise ConfigError("agent names must be unique")
-    for agent in config.agents:
+    _check_members(config, "scenario", name=str, description=str, seed=int)
+    for host, ip in config.dns.items():
+        _checked(ip, str, f"dns[{host!r}]")
+    for index, agent in enumerate(config.agents):
+        _check_members(agent, f"agents[{index}]", name=str, ip=str, user_agent=str)
+        for host, granted in agent.consent.items():
+            _checked(granted, bool, f"agents[{index}].consent[{host!r}]")
         for member, modes in (("consent_mode", CONSENT_MODES),
                               ("subdomain_mode", SUBDOMAIN_MODES),
                               ("referrer_mode", REFERRER_MODES)):
             if getattr(agent, member) not in modes:
                 raise ConfigError(f"agent {agent.name!r}: unknown {member} "
                                   f"{getattr(agent, member)!r}")
+    names = [a.name for a in config.agents]
+    if len(set(names)) != len(names):
+        raise ConfigError("agent names must be unique")
     known = set(names)
 
     previous = None
-    for mutation in config.dns_mutations:
+    for index, mutation in enumerate(config.dns_mutations):
+        _check_members(mutation, f"dns_mutations[{index}]", host=str, ip=str)
         _check_times(f"dns mutation for {mutation.host!r}", mutation.at)
         if previous is not None and mutation.at < previous:
             raise ConfigError(f"dns mutation at {mutation.at} for "
@@ -295,20 +313,23 @@ def validate_config(config: ScenarioConfig) -> None:
         previous = mutation.at
 
     previous = None
-    for visit in config.visits:
+    for index, visit in enumerate(config.visits):
+        _check_members(visit, f"visits[{index}]", agent=str, url=str, referrer=str)
         _check_times(f"visit to {visit.url!r}", visit.at)
         if previous is not None and visit.at < previous:
             raise ConfigError(f"visit at {visit.at} to {visit.url!r} is out of order")
         previous = visit.at
         if visit.agent not in known:
             raise ConfigError(f"visit at {visit.at}: unknown agent {visit.agent!r}")
-        host = (urlsplit(visit.url).hostname or "").lower()
+        host = urlsplit(visit.url).hostname
         if not host:
             raise ConfigError(f"visit at {visit.at}: URL {visit.url!r} has no host")
         if host not in config.dns:
             raise ConfigError(f"visit at {visit.at}: host {host!r} missing from dns")
 
-    for window in config.mitm_windows:
+    for index, window in enumerate(config.mitm_windows):
+        _check_members(window, f"mitm_windows[{index}]", agent=str, host=str)
+        _check_headers(window.headers, f"mitm_windows[{index}]")
         if window.agent not in known:
             raise ConfigError(f"mitm window on {window.host!r}: unknown agent "
                               f"{window.agent!r}")
@@ -316,11 +337,20 @@ def validate_config(config: ScenarioConfig) -> None:
         if window.end < window.start:
             raise ConfigError(f"mitm window on {window.host!r}: end before start")
 
-    for host in config.collectors:
+    for host, collector in config.collectors.items():
+        _check_members(collector, f"collectors[{host!r}]", strip_url_query=bool,
+                       drop_captured_headers=bool, warn_on_success_reports=bool)
         if host not in config.dns:
             raise ConfigError(f"collector {host!r} missing from dns")
 
     for host, server in config.servers.items():
+        _check_members(server, f"servers[{host!r}]", ip=str, secure=bool)
+        for path, spec in server.paths.items():
+            where = f"servers[{host!r}].paths[{path!r}]"
+            _check_members(spec, where, status=int)
+            if spec.result_type is not None:
+                _checked(spec.result_type, str, f"{where}.result_type")
+            _check_headers(spec.headers, where)
         if not server.ip:
             raise ConfigError(f"server {host!r} has no address")
         for start, end in server.down:
@@ -342,6 +372,7 @@ class _Agent:
             self.store.set_consent(host, granted)
         self.last_resolved: dict[str, str] = {}
         self._world = world
+        self.transport = partial(world.upload, self)
         self.engine = ReportEngine(
             store=self.store,
             rng=random.Random(f"{seed}/{spec.name}"),
@@ -350,12 +381,10 @@ class _Agent:
         )
 
     def _sink(self, kind: str, at: int, data: dict) -> None:
-        self._world.record(TraceEvent(kind, at, {"agent": self.spec.name, **data}))
+        data["agent"] = self.spec.name
+        self._world.events.append(TraceEvent(kind, at, data))
         if kind == "delivery_attempt":
             self._world.flush_stored()
-
-    def transport(self, url: str, body: bytes, now: int) -> TransportResult:
-        return self._world.upload(self, url, body, now)
 
 
 class _World:
@@ -377,9 +406,6 @@ class _World:
 
     # -- trace plumbing ----------------------------------------------------
 
-    def record(self, event: TraceEvent) -> None:
-        self.events.append(event)
-
     def _stored(self, host: str, records: list[StoredRecord]) -> None:
         self._held_stored.extend(TraceEvent("report_stored", record.received_at, {
             "collector": host,
@@ -395,15 +421,12 @@ class _World:
 
     # -- reachability --------------------------------------------------------
 
-    def _down(self, server: ServerSpec, now: int) -> bool:
-        return any(start <= now and (end is None or now < end)
-                   for start, end in server.down)
-
     def _reachable(self, host: str, now: int) -> bool:
         resolved = self.dns.get(host, "")
         server = self.servers.get(host)
-        return (bool(resolved) and server is not None
-                and server.ip == resolved and not self._down(server, now))
+        return (bool(resolved) and server is not None and server.ip == resolved
+                and not any(start <= now and (end is None or now < end)
+                            for start, end in server.down))
 
     def _mitm_overlay(self, agent: _Agent, host: str, now: int,
                       headers: dict[str, str]) -> dict[str, str]:
@@ -418,7 +441,7 @@ class _World:
 
     def upload(self, agent: _Agent, url: str, body: bytes,
                now: int) -> TransportResult:
-        host = (urlsplit(url).hostname or "").lower()
+        host = urlsplit(url).hostname or ""
         if not self._reachable(host, now):
             return UNREACHABLE
         collector = self.collectors.get(host)
@@ -432,13 +455,16 @@ class _World:
         return TransportResult("delivered", status_code=200,
                                response_headers=headers)
 
-    # -- policy event emission -----------------------------------------------
+    # -- policy responses ------------------------------------------------------
 
-    def _emit_policy_effect(self, agent: _Agent, host: str, now: int,
-                            effect: StoreEffect) -> None:
+    def _apply_policy_headers(self, agent: _Agent, host: str, secure: bool,
+                              headers: dict[str, str], now: int) -> None:
+        """Trace what the agent's store does with a response's policy headers."""
+        effect = agent.store.process_policy_headers(
+            host, secure, headers.get("NEL"), headers.get("Report-To"), now)
         if effect.stored is not None:
             policy = effect.stored.policy
-            self.record(TraceEvent("policy_installed", now, {
+            self.events.append(TraceEvent("policy_installed", now, {
                 "agent": agent.spec.name,
                 "host": host,
                 "group": policy.report_to,
@@ -447,103 +473,71 @@ class _World:
                 "replaced": effect.kind == "replaced",
             }))
         elif effect.kind == "removed":
-            self.record(TraceEvent("policy_removed", now, {
+            self.events.append(TraceEvent("policy_removed", now, {
                 "agent": agent.spec.name, "host": host,
             }))
         elif effect.reason != "no_header":
-            self.record(TraceEvent("policy_ignored", now, {
+            self.events.append(TraceEvent("policy_ignored", now, {
                 "agent": agent.spec.name, "host": host, "reason": effect.reason,
             }))
 
-    def _process_response_headers(self, agent: _Agent, host: str, secure: bool,
-                                  headers: dict[str, str], now: int) -> None:
-        effect = agent.store.process_policy_headers(
-            host, secure, headers.get("NEL"), headers.get("Report-To"), now)
-        self._emit_policy_effect(agent, host, now, effect)
-
     # -- visits ----------------------------------------------------------------
-
-    @staticmethod
-    def _match_path(server: ServerSpec, path: str) -> PathSpec:
-        best = None
-        for prefix, spec in server.paths.items():
-            if path.startswith(prefix):
-                if best is None or len(prefix) > len(best[0]):
-                    best = (prefix, spec)
-        return best[1] if best else PathSpec()
 
     def _visit(self, visit: Visit) -> None:
         agent = self.agents[visit.agent]
         now = visit.at
         parts = urlsplit(visit.url)
-        host = sys.intern((parts.hostname or "").lower())
+        host = sys.intern(parts.hostname or "")
         resolved = self.dns.get(host, "")
-        server = self.servers.get(host)
-
+        status = elapsed = 0
+        request_headers, headers = {}, {}
         if not resolved:
-            outcome = RequestOutcome(
-                url=visit.url, referrer=visit.referrer, method="GET",
-                protocol="", server_ip="", status_code=0, elapsed_time=0,
-                phase="dns", result_type="dns.name_not_resolved",
-                event_time=now)
+            phase, result_type = "dns", "dns.name_not_resolved"
         elif not self._reachable(host, now):
-            last = agent.last_resolved.get(host)
-            if last is not None and last != resolved:
+            if agent.last_resolved.get(host, resolved) != resolved:
                 # The name now points somewhere unreachable: the situation a
                 # DNS firewall remap creates. The report leaks the remap target.
-                outcome = RequestOutcome(
-                    url=visit.url, referrer=visit.referrer, method="GET",
-                    protocol="", server_ip=resolved, status_code=0,
-                    elapsed_time=0, phase="dns",
-                    result_type="dns.address_changed", event_time=now)
+                phase, result_type = "dns", "dns.address_changed"
             else:
-                outcome = RequestOutcome(
-                    url=visit.url, referrer=visit.referrer, method="GET",
-                    protocol="", server_ip=resolved, status_code=0,
-                    elapsed_time=0, phase="connection",
-                    result_type="tcp.refused", event_time=now)
+                phase, result_type = "connection", "tcp.refused"
         else:
             agent.last_resolved[host] = resolved
-            assert server is not None
-            path_spec = self._match_path(server, parts.path or "/")
-            headers = self._mitm_overlay(agent, host, now, dict(path_spec.headers))
-            self._process_response_headers(agent, host, server.secure, headers, now)
-            result_type = path_spec.result_type or (
-                "ok" if path_spec.status < 400 else "http.error")
-            outcome = RequestOutcome(
-                url=visit.url, referrer=visit.referrer, method="GET",
-                protocol="h2", server_ip=resolved,
-                status_code=path_spec.status, elapsed_time=FETCH_ELAPSED_MS,
-                phase="application", result_type=result_type, event_time=now,
-                request_headers={"User-Agent": agent.spec.user_agent},
-                response_headers=headers)
+            server = self.servers[host]
+            path = parts.path or "/"
+            prefix = max((p for p in server.paths if path.startswith(p)),
+                         key=len, default=None)
+            spec = PathSpec() if prefix is None else server.paths[prefix]
+            headers = self._mitm_overlay(agent, host, now, spec.headers)
+            self._apply_policy_headers(agent, host, server.secure, headers, now)
+            phase, status, elapsed = "application", spec.status, FETCH_ELAPSED_MS
+            result_type = spec.result_type or ("ok" if status < 400 else "http.error")
+            request_headers = {"User-Agent": agent.spec.user_agent}
 
-        agent.engine.observe(outcome, now)
+        agent.engine.observe(RequestOutcome(
+            url=visit.url, referrer=visit.referrer, method="GET",
+            protocol="h2" if phase == "application" else "", server_ip=resolved,
+            status_code=status, elapsed_time=elapsed, phase=phase,
+            result_type=result_type, request_headers=request_headers,
+            response_headers=headers), now)
 
     # -- deliveries ---------------------------------------------------------
 
     def _drain(self, now: int) -> None:
         for agent in self.agents.values():
-            while True:
-                attempts = agent.engine.deliver_due(now, agent.transport)
-                if not attempts:
-                    break
+            while attempts := agent.engine.deliver_due(now, agent.transport):
                 for attempt in attempts:
                     if attempt.result == "delivered" and attempt.response_headers:
-                        host = sys.intern((urlsplit(attempt.endpoint).hostname
-                                           or "").lower())
-                        self._process_response_headers(
+                        host = sys.intern(urlsplit(attempt.endpoint).hostname or "")
+                        self._apply_policy_headers(
                             agent, host, True, attempt.response_headers, now)
 
     # -- main loop --------------------------------------------------------------
 
     def run(self) -> ScenarioTrace:
-        timeline: list[tuple[int, int, int, str, object]] = []
-        for index, mutation in enumerate(self.config.dns_mutations):
-            timeline.append((mutation.at, 0, index, "dns", mutation))
-        for index, visit in enumerate(self.config.visits):
-            timeline.append((visit.at, 1, index, "visit", visit))
-        timeline.sort(key=lambda entry: entry[:3])
+        timeline = sorted(
+            [(m.at, 0, i, m) for i, m in enumerate(self.config.dns_mutations)]
+            + [(v.at, 1, i, v) for i, v in enumerate(self.config.visits)],
+            key=lambda entry: entry[:3])
 
         horizon = (max((t[0] for t in timeline), default=0)) + DRAIN_WINDOW_MS
         position = 0
@@ -563,15 +557,14 @@ class _World:
                 continue
             now = next_config
             while position < len(timeline) and timeline[position][0] == now:
-                kind, payload = timeline[position][3], timeline[position][4]
-                if kind == "dns":
-                    mutation: DnsMutation = payload  # type: ignore[assignment]
-                    self.dns[mutation.host] = mutation.ip
-                    self.record(TraceEvent("dns_change", now, {
-                        "host": mutation.host, "ip": mutation.ip,
-                    }))
+                entry = timeline[position][3]
+                if isinstance(entry, Visit):
+                    self._visit(entry)
                 else:
-                    self._visit(payload)  # type: ignore[arg-type]
+                    self.dns[entry.host] = entry.ip
+                    self.events.append(TraceEvent("dns_change", now, {
+                        "host": entry.host, "ip": entry.ip,
+                    }))
                 position += 1
             self._drain(now)
 

@@ -74,8 +74,7 @@ def test_criterion_1_fig1_fidelity():
             status_code=200,
             elapsed_time=823,
             phase="application",
-            result_type="http.protocol.error",
-            event_time=1_000)
+            result_type="http.protocol.error")
         task = engine.observe(outcome, 1_000)
         assert task is not None
         serialized = json.loads(serialize_report_batch([task.report]))
@@ -180,8 +179,7 @@ def test_criterion_7_sampling_statistics():
                 outcome = RequestOutcome(
                     url="https://a.example/", referrer="", method="GET",
                     protocol="h2", server_ip="192.0.2.1", status_code=200,
-                    elapsed_time=1, phase="application", result_type="ok",
-                    event_time=i)
+                    elapsed_time=1, phase="application", result_type="ok")
                 if engine.observe(outcome, i) is not None:
                     count += 1
             return count

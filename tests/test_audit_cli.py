@@ -196,6 +196,14 @@ class TestScenarioCommand:
         assert "must be an integer of milliseconds, got 'soon'" in \
             capsys.readouterr().err
 
+    def test_wrong_scalar_type_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps({
+            "agents": [{"name": "a"}], "dns": {"x.example": "192.0.2.1"},
+            "visits": [{"at": 1, "agent": "a", "url": 123}]}))
+        assert main(["scenario", str(config_path)]) == 2
+        assert "visits[0].url must be a JSON string" in capsys.readouterr().err
+
     @pytest.mark.parametrize("document, member", [
         ('{"name": "x", "servers": []}', "servers"),
         ('{"agents": {}}', "agents"),
@@ -330,6 +338,27 @@ class TestCollectCommand:
         # unroutable override then fails cleanly with exit 2.
         assert main(["collect", "--config", str(config),
                      "--listen", "203.0.113.1:1", "--ip-mode", "volatile"]) == 2
+
+    @pytest.mark.parametrize("document, flags, problem", [
+        ({}, ["--listen", "127.0.0.1"], "must be host:port, got '127.0.0.1'"),
+        ({"listen": "nohost"}, [], "must be host:port, got 'nohost'"),
+        ({"listen": 5}, [], "must be host:port, got 5"),
+        ({"listen": "127.0.0.1:65536"}, [], "must be host:port"),
+    ])
+    def test_bad_listen_address_exits_2(self, tmp_path, capsys, document, flags,
+                                        problem):
+        config = tmp_path / "collector.json"
+        config.write_text(json.dumps(document))
+        assert main(["collect", "--config", str(config), *flags]) == 2
+        assert problem in capsys.readouterr().err
+
+    def test_log_path_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        log = tmp_path / "plain" / "records.ndjson"
+        config = tmp_path / "collector.json"
+        config.write_text(json.dumps({"listen": "127.0.0.1:0", "log_path": str(log)}))
+        assert main(["collect", "--config", str(config)]) == 2
+        assert f"cannot open log {log}" in capsys.readouterr().err
 
     def test_serves_and_exits_cleanly_on_sigint(self, tmp_path):
         log = tmp_path / "records.ndjson"

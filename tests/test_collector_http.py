@@ -7,6 +7,7 @@ import socket
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nellab.collector import CollectorConfig
 from nellab.headers import (
@@ -194,3 +195,62 @@ def test_concurrent_ingests_all_logged(http_collector, tmp_path):
         thread.join()
     assert collector.stored == 8
     assert len(log.read_text().splitlines()) == 8
+
+
+@st.composite
+def raw_requests(draw) -> bytes:
+    """One request's bytes: mostly HTTP-shaped, sometimes any bytes at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=200))
+    words = [
+        draw(st.sampled_from([b"GET", b"POST", b"HEAD", b"PUT", b"garbage"])
+             | st.binary(min_size=1, max_size=8)),
+        draw(st.sampled_from([b"/up", b"/", b"//x", b"*", b""])),
+        draw(st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/0.9", b"HTTP/2.0",
+                              b"HTTP/1", b"HTTP/x.y", b"FTP/1.1", b""])),
+    ]
+    body = draw(st.sampled_from([fig1_batch(), b"[]", b"{", b""])
+                | st.binary(max_size=40))
+    headers = draw(st.lists(st.sampled_from([
+        b"Content-Type: " + REPORT_MEDIA_TYPE.encode(),
+        b"Content-Length: %d" % len(body),
+        b"Content-Length: 99999999",
+        b"Content-Length: x",
+        b"Connection: close",
+        b"Connection: keep-alive",
+        b"Expect: 100-continue",
+    ]) | st.binary(max_size=30).filter(lambda h: b"\n" not in h), max_size=5))
+    return (b" ".join(w for w in words if w) + b"\r\n"
+            + b"".join(h + b"\r\n" for h in headers) + b"\r\n" + body)
+
+
+@pytest.fixture
+def logged_collector(http_collector, tmp_path):
+    log = tmp_path / "fuzz.ndjson"
+    _, base_url = http_collector(CollectorConfig(log_path=str(log)))
+    return base_url, log
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=raw_requests())
+@example(data=b"garbage\r\n\r\n")
+@example(data=b"POST /\r\n\r\n")
+@example(data=b"GET / HTTP/2.0\r\n\r\n")
+@example(data=b"GET /\r\n\r\n")
+@example(data=b"GET / HTTP/0.9\r\n\r\n")
+def test_every_request_gets_a_status_line(logged_collector, data):
+    base_url, log = logged_collector
+    parts = urlsplit(base_url)
+    received = b""
+    with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        while chunk := sock.recv(65536):
+            received += chunk
+    # The server splits the request line as str.split() does after decoding
+    # it as ISO-8859-1, and answers a blank one by closing.
+    if data.split(b"\n", 1)[0].decode("iso-8859-1").split():
+        assert re.match(rb"HTTP/1\.1 \d{3} ", received), received[:80]
+    for line in log.read_text().splitlines():
+        json.loads(line)

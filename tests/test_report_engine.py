@@ -45,18 +45,18 @@ def make_store(host="a.example", max_age=86400, success=0.0, failure=1.0,
     return store
 
 
-def failure_outcome(url="https://a.example/x", at=1_000, **overrides):
+def failure_outcome(url="https://a.example/x", **overrides):
     fields = dict(url=url, referrer="", method="GET", protocol="h2",
                   server_ip="192.0.2.1", status_code=0, elapsed_time=10,
-                  phase="connection", result_type="tcp.refused", event_time=at)
+                  phase="connection", result_type="tcp.refused")
     fields.update(overrides)
     return RequestOutcome(**fields)
 
 
-def success_outcome(url="https://a.example/x", at=1_000, **overrides):
+def success_outcome(url="https://a.example/x", **overrides):
     fields = dict(url=url, referrer="", method="GET", protocol="h2",
                   server_ip="192.0.2.1", status_code=200, elapsed_time=45,
-                  phase="application", result_type="ok", event_time=at)
+                  phase="application", result_type="ok")
     fields.update(overrides)
     return RequestOutcome(**fields)
 
@@ -200,7 +200,7 @@ TWO_ENDPOINT_GROUPS = json.dumps({
 class TestDelivery:
     def test_immediate_delivery(self):
         engine = ReportEngine(make_store(), ScriptedRng([0.0]))
-        engine.observe(failure_outcome(at=1_000), 1_000)
+        engine.observe(failure_outcome(), 1_000)
         transport = recording_transport({"https://c.example/up": DELIVERED})
         attempts = engine.deliver_due(1_000, transport)
         assert [a.result for a in attempts] == ["delivered"]
@@ -212,7 +212,7 @@ class TestDelivery:
     def test_failover_to_lower_priority_endpoint(self):
         engine = ReportEngine(
             make_store(groups=TWO_ENDPOINT_GROUPS), ScriptedRng([0.0]))
-        engine.observe(failure_outcome(at=1_000), 1_000)
+        engine.observe(failure_outcome(), 1_000)
         transport = recording_transport({
             "https://primary.example/up": UNREACHABLE,
             "https://backup.example/up": DELIVERED,
@@ -228,7 +228,7 @@ class TestDelivery:
 
     def test_age_grows_across_retries(self):
         engine = ReportEngine(make_store(), ScriptedRng([0.0]))
-        task = engine.observe(failure_outcome(at=1_000), 1_000)
+        task = engine.observe(failure_outcome(), 1_000)
         transport = recording_transport({"https://c.example/up": UNREACHABLE})
         engine.deliver_due(1_000, transport)
         assert task.report.age == 0
@@ -237,8 +237,8 @@ class TestDelivery:
 
     def test_batching_same_instant_same_endpoint(self):
         engine = ReportEngine(make_store(), ScriptedRng([0.0, 0.0]))
-        engine.observe(failure_outcome(url="https://a.example/1", at=1_000), 1_000)
-        engine.observe(failure_outcome(url="https://a.example/2", at=1_000), 1_000)
+        engine.observe(failure_outcome(url="https://a.example/1"), 1_000)
+        engine.observe(failure_outcome(url="https://a.example/2"), 1_000)
         transport = recording_transport({"https://c.example/up": DELIVERED})
         attempts = engine.deliver_due(1_000, transport)
         assert len(attempts) == 1
@@ -252,7 +252,7 @@ class TestDelivery:
         groups = json.dumps({"group": "g", "max_age": 86400, "endpoints": [
             {"url": "https://a.example/up"}, {"url": "https://b.example/up"}]})
         engine = ReportEngine(make_store(groups=groups), random.Random(0))
-        tasks = [engine.observe(failure_outcome(at=0), 0) for _ in range(3)]
+        tasks = [engine.observe(failure_outcome(), 0) for _ in range(3)]
         transport = recording_transport({"https://a.example/up": DELIVERED,
                                          "https://b.example/up": UNREACHABLE})
         attempts = engine.deliver_due(0, transport)
@@ -274,14 +274,14 @@ class TestDelivery:
         })
         # draw*4 = 3.6 lands in the second endpoint's weight span.
         engine = ReportEngine(make_store(groups=groups), ScriptedRng([0.0, 0.9]))
-        engine.observe(failure_outcome(at=1_000), 1_000)
+        engine.observe(failure_outcome(), 1_000)
         transport = recording_transport({"https://w3.example/up": DELIVERED})
         attempts = engine.deliver_due(1_000, transport)
         assert attempts[0].endpoint == "https://w3.example/up"
 
     def test_task_dropped_after_max_attempts(self):
         engine = ReportEngine(make_store(), ScriptedRng([0.0]))
-        engine.observe(failure_outcome(at=0), 0)
+        engine.observe(failure_outcome(), 0)
         transport = recording_transport({"https://c.example/up": UNREACHABLE})
         engine.deliver_due(0, transport)
         engine.deliver_due(60_000, transport)
@@ -306,7 +306,7 @@ class TestMetaReports:
         events = []
         engine = ReportEngine(store, ScriptedRng([0.0, 0.0]),
                               sink=lambda kind, at, data: events.append((kind, data)))
-        engine.observe(failure_outcome(at=0), 0)
+        engine.observe(failure_outcome(), 0)
         transport = recording_transport({"https://c.example/up": UNREACHABLE})
         for at in (0, 60_000, 180_000):
             engine.deliver_due(at, transport)
@@ -325,7 +325,7 @@ class TestMetaReports:
 
     def test_no_meta_without_collector_policy(self):
         engine = ReportEngine(make_store(), ScriptedRng([0.0]))
-        engine.observe(failure_outcome(at=0), 0)
+        engine.observe(failure_outcome(), 0)
         transport = recording_transport({"https://c.example/up": UNREACHABLE})
         for at in (0, 60_000, 180_000):
             engine.deliver_due(at, transport)
@@ -335,7 +335,7 @@ class TestMetaReports:
         store = make_store()
         install_collector_policy(store, failure=0.0)
         engine = ReportEngine(store, ScriptedRng([0.0, 0.0]))
-        engine.observe(failure_outcome(at=0), 0)
+        engine.observe(failure_outcome(), 0)
         transport = recording_transport({"https://c.example/up": UNREACHABLE})
         for at in (0, 60_000, 180_000):
             engine.deliver_due(at, transport)
@@ -345,7 +345,7 @@ class TestMetaReports:
         store = make_store()
         install_collector_policy(store)
         engine = ReportEngine(store, ScriptedRng([0.0, 0.0]))
-        engine.observe(failure_outcome(at=0), 0)
+        engine.observe(failure_outcome(), 0)
         transport = recording_transport(
             {"https://c.example/up": TransportResult("http_error", 503)})
         for at in (0, 60_000, 180_000):
@@ -367,7 +367,7 @@ class TestMetaReports:
             "cprime.example", True, nel, groups, 0).kind == "installed"
 
         engine = ReportEngine(store, ScriptedRng([0.0, 0.0, 0.0]))
-        engine.observe(failure_outcome(at=0), 0)
+        engine.observe(failure_outcome(), 0)
         transport = recording_transport({
             "https://c.example/up": UNREACHABLE,
             "https://cprime.example/up": UNREACHABLE,
@@ -391,7 +391,7 @@ class TestMetaReports:
         store = make_store()
         install_collector_policy(store)
         engine = ReportEngine(store, ScriptedRng([0.0, 0.0]))
-        engine.observe(failure_outcome(at=0), 0)
+        engine.observe(failure_outcome(), 0)
         transport = recording_transport({
             "https://c.example/up": UNREACHABLE,
             "https://cprime.example/up": UNREACHABLE,

@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -359,7 +360,57 @@ class TestTraceWriter:
             trace_from_json(json.dumps(document))
 
 
+# A valid document with one entry of every kind that has scalar members.
+SCALAR_BASE = {
+    "name": "scalars", "description": "", "seed": 0,
+    "agents": [{"name": "a", "consent": {"x.example": True}}],
+    "dns": {"x.example": "192.0.2.1", "c.example": "192.0.2.9"},
+    "dns_mutations": [{"at": 5, "host": "x.example", "ip": "192.0.2.1"}],
+    "servers": {"x.example": {"ip": "192.0.2.1", "secure": True, "paths": {
+        "/": {"status": 200, "result_type": None, "headers": {"NEL": "{}"}}}}},
+    "mitm_windows": [{"agent": "a", "host": "x.example", "start": 1, "end": 2,
+                      "headers": {"NEL": "{}"}}],
+    "visits": [{"at": 1, "agent": "a", "url": "https://x.example/", "referrer": ""}],
+    "collectors": {"c.example": {"strip_url_query": True}},
+}
+
+
 class TestConfigValidation:
+    def test_scalar_base_is_valid(self):
+        validate_config(config_from_dict(copy.deepcopy(SCALAR_BASE)))
+
+    @pytest.mark.parametrize("path, value, where, kind", [
+        (["servers", "x.example", "paths", "/", "status"], "200",
+         "servers['x.example'].paths['/'].status", "integer"),
+        (["visits", 0, "url"], 123, "visits[0].url", "string"),
+        (["visits", 0, "agent"], ["a"], "visits[0].agent", "string"),
+        (["agents", 0, "name"], ["a"], "agents[0].name", "string"),
+        (["servers", "x.example", "paths", "/", "headers", "NEL"], 5,
+         "servers['x.example'].paths['/'].headers['NEL']", "string"),
+        (["servers", "x.example", "secure"], "no",
+         "servers['x.example'].secure", "boolean"),
+        (["servers", "x.example", "paths", "/", "result_type"], 5,
+         "servers['x.example'].paths['/'].result_type", "string"),
+        (["mitm_windows", 0, "headers", "NEL"], None,
+         "mitm_windows[0].headers['NEL']", "string"),
+        (["mitm_windows", 0, "host"], 7, "mitm_windows[0].host", "string"),
+        (["agents", 0, "consent", "x.example"], "yes",
+         "agents[0].consent['x.example']", "boolean"),
+        (["dns", "x.example"], 1, "dns['x.example']", "string"),
+        (["dns_mutations", 0, "ip"], None, "dns_mutations[0].ip", "string"),
+        (["collectors", "c.example", "strip_url_query"], "no",
+         "collectors['c.example'].strip_url_query", "boolean"),
+        (["seed"], True, "scenario.seed", "integer"),
+    ])
+    def test_wrong_scalar_type_names_the_entry(self, path, value, where, kind):
+        document = copy.deepcopy(SCALAR_BASE)
+        entry = document
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{where} must be a JSON {kind}")):
+            validate_config(config_from_dict(document))
+
     def test_unknown_agent_in_visit(self):
         config = ScenarioConfig(
             agents=[AgentSpec(name="a")],
