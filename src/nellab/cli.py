@@ -24,7 +24,8 @@ from .audit import (
 from .collector import Collector, CollectorConfig
 from .headers import ParseError
 from .server import make_server
-from .sim import ConfigError, builtin_scenarios, config_from_dict, run_scenario
+from .sim import ConfigError, builtin_scenarios, check_types, config_from_dict, \
+    run_scenario
 
 SEED_ENV_VAR = "NEL_LAB_SEED"
 
@@ -132,6 +133,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
             data["retention"] = (args.retention if args.retention == "infinite"
                                  else int(args.retention))
         config = CollectorConfig.from_dict(data)
+        check_types(config, CollectorConfig, "collector")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             ParseError) as exc:
         print(f"error: bad collector config {args.config}: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ PURGE_INTERVAL_MS = 60_000
 
 
 def parse_listen(listen: str) -> tuple[str, int]:
-    host, _, port = listen.rpartition(":") if isinstance(listen, str) else ("", "", "")
+    host, _, port = listen.rpartition(":")
     if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ValueError(f"listen address must be host:port, got {listen!r}")
     return host, int(port)
@@ -120,9 +120,6 @@ class _CollectorServer(ThreadingHTTPServer):
             logger.exception("purging expired records failed")
 
 
-def make_server(collector: Collector, host: str | None = None,
-                port: int | None = None) -> ThreadingHTTPServer:
-    """Bind the ingestion HTTP server; caller decides how to run it."""
-    if host is None or port is None:
-        host, port = parse_listen(collector.config.listen)
-    return _CollectorServer((host, port), collector)
+def make_server(collector: Collector) -> ThreadingHTTPServer:
+    """Bind the ingestion HTTP server at ``listen``; caller decides how to run it."""
+    return _CollectorServer(parse_listen(collector.config.listen), collector)

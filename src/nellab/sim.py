@@ -23,8 +23,9 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import cache, partial
+from typing import NewType, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 from .collector import Collector, CollectorConfig, RejectError, StoredRecord
@@ -45,6 +46,9 @@ FETCH_ELAPSED_MS = 50
 # anything still pending then (e.g. a cyclic meta-report loop toward a dead
 # collector) is abandoned.
 DRAIN_WINDOW_MS = 7 * DAY_MS
+
+# A virtual time: a JSON integer, which errors name as milliseconds.
+Millis = NewType("Millis", int)
 
 
 class ConfigError(ValueError):
@@ -79,13 +83,13 @@ class ServerSpec:
 
     ip: str
     secure: bool = True
-    down: list[tuple[int, int | None]] = field(default_factory=list)
+    down: list[tuple[Millis, Millis | None]] = field(default_factory=list)
     paths: dict[str, PathSpec] = field(default_factory=dict)
 
 
 @dataclass
 class DnsMutation:
-    at: int
+    at: Millis
     host: str
     ip: str  # "" models a name that stops resolving
 
@@ -96,14 +100,14 @@ class MitmWindow:
 
     agent: str
     host: str
-    start: int
-    end: int  # half-open: start <= t < end
+    start: Millis
+    end: Millis  # half-open: start <= t < end
     headers: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
 class Visit:
-    at: int
+    at: Millis
     agent: str
     url: str
     referrer: str = ""
@@ -214,30 +218,67 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return data
 
 
-_JSON_KINDS = {list: "array", dict: "object", str: "string", int: "integer",
-               bool: "boolean"}
-
-# The list and dict members of each entry type that has any, told apart by
-# their default factories.
-_CONTAINERS = {
-    cls: [(f.name, f.default_factory) for f in fields(cls)
-          if f.default_factory in (list, dict)]
-    for cls in (ScenarioConfig, AgentSpec, ServerSpec, PathSpec, MitmWindow)
-}
+# How errors name each kind a member can declare, and the types its values may have.
+_JSON_KINDS = {str: ("a JSON string", str), bool: ("a JSON boolean", bool),
+               int: ("a JSON integer", int), Millis: ("an integer of milliseconds", int),
+               float: ("a JSON number", (int, float)), list: ("a JSON array", list),
+               tuple: ("a JSON array", (tuple, list)), dict: ("a JSON object", dict)}
 
 
-def _checked(value, kind: type, where: str):
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{where} must be a JSON {_JSON_KINDS[kind]}")
+def _checked(value, kind, where: str):
+    text, types = _JSON_KINDS[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+        got = "" if kind in (list, tuple, dict) else f", got {value!r}"
+        raise ConfigError(f"{where} must be {text}{got}")
     return value
+
+
+@cache
+def _shape(hint) -> tuple:
+    """``(kind, args)`` of an annotation; ``X | None`` is a ``Union``, and a dataclass's
+    args are ``(name, hint, kind, exact)``: a member of type ``exact`` is well-typed."""
+    if is_dataclass(hint):
+        return dataclass, tuple(
+            (name, member, _shape(member)[0], _JSON_KINDS.get(member, (None, None))[1])
+            for name, member in get_type_hints(hint).items())
+    args = get_args(hint)
+    return (Union if type(None) in args else get_origin(hint) or hint), args
+
+
+def check_types(value, hint, where: str) -> None:
+    """Raise :class:`ConfigError` naming the first part of ``value`` (named
+    ``where``) that ``hint``, or a dataclass member's annotation, does not allow."""
+    kind, args = _shape(hint)
+    if kind is Union:
+        if value is not None:
+            check_types(value, args[0], where)
+    elif kind is dataclass:
+        if not isinstance(value, hint):
+            raise ConfigError(f"{where} must be a JSON object")
+        for name, member, _, exact in args:
+            item = getattr(value, name)
+            if type(item) is not exact:
+                check_types(item, member, f"{where}.{name}")
+    elif kind is dict:
+        for key, item in _checked(value, dict, where).items():
+            check_types(item, args[1], f"{where}[{key!r}]")
+    elif kind is list or kind is tuple:
+        if kind is list or args[-1] is Ellipsis:
+            args = args[:1] * len(_checked(value, kind, where))
+        elif len(_checked(value, tuple, where)) != len(args):
+            raise ConfigError(f"{where} must be an array of {len(args)} items")
+        for index, (item, member) in enumerate(zip(value, args)):
+            check_types(item, member, f"{where}[{index}]")
+    else:
+        _checked(value, kind, where)
 
 
 def _load(cls, data, where: str):
     """``cls(**data)`` with its list and dict members type-checked."""
     entry = cls(**_checked(data, dict, where))
-    for name, kind in _CONTAINERS[cls]:
-        if not isinstance(getattr(entry, name), kind):
-            raise ConfigError(f"{where}.{name} must be a JSON {_JSON_KINDS[kind]}")
+    for name, _, kind, _ in _shape(cls)[1]:
+        if (kind is list or kind is dict) and not isinstance(getattr(entry, name), kind):
+            raise ConfigError(f"{where}.{name} must be {_JSON_KINDS[kind][0]}")
     return entry
 
 
@@ -254,7 +295,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     config.servers = {host: _load(ServerSpec, s, f"servers[{host!r}]")
                       for host, s in config.servers.items()}
     for host, server in config.servers.items():
-        server.down = [(start, end) for start, end in server.down]
+        server.down = [tuple(interval) for interval in server.down]
         server.paths = {path: _load(PathSpec, p, f"servers[{host!r}].paths[{path!r}]")
                         for path, p in server.paths.items()}
     config.mitm_windows = [_load(MitmWindow, w, f"mitm_windows[{i}]")
@@ -266,32 +307,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return config
 
 
-def _check_times(what: str, *times) -> None:
-    for at in times:
-        if not isinstance(at, int) or isinstance(at, bool):
-            raise ConfigError(f"{what}: a time must be an integer of milliseconds, "
-                              f"got {at!r}")
-
-
-def _check_members(entry, where: str, **kinds: type) -> None:
-    for member, kind in kinds.items():
-        _checked(getattr(entry, member), kind, f"{where}.{member}")
-
-
-def _check_headers(headers: dict, where: str) -> None:
-    for name, value in headers.items():
-        _checked(value, str, f"{where}.headers[{name!r}]")
-
-
 def validate_config(config: ScenarioConfig) -> None:
     """Raise :class:`ConfigError` naming the first offending entry."""
-    _check_members(config, "scenario", name=str, description=str, seed=int)
-    for host, ip in config.dns.items():
-        _checked(ip, str, f"dns[{host!r}]")
-    for index, agent in enumerate(config.agents):
-        _check_members(agent, f"agents[{index}]", name=str, ip=str, user_agent=str)
-        for host, granted in agent.consent.items():
-            _checked(granted, bool, f"agents[{index}].consent[{host!r}]")
+    check_types(config, ScenarioConfig, "scenario")
+    for agent in config.agents:
         for member, modes in (("consent_mode", CONSENT_MODES),
                               ("subdomain_mode", SUBDOMAIN_MODES),
                               ("referrer_mode", REFERRER_MODES)):
@@ -303,22 +322,14 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("agent names must be unique")
     known = set(names)
 
-    previous = None
-    for index, mutation in enumerate(config.dns_mutations):
-        _check_members(mutation, f"dns_mutations[{index}]", host=str, ip=str)
-        _check_times(f"dns mutation for {mutation.host!r}", mutation.at)
-        if previous is not None and mutation.at < previous:
+    for earlier, mutation in zip(config.dns_mutations, config.dns_mutations[1:]):
+        if mutation.at < earlier.at:
             raise ConfigError(f"dns mutation at {mutation.at} for "
                               f"{mutation.host!r} is out of order")
-        previous = mutation.at
 
-    previous = None
     for index, visit in enumerate(config.visits):
-        _check_members(visit, f"visits[{index}]", agent=str, url=str, referrer=str)
-        _check_times(f"visit to {visit.url!r}", visit.at)
-        if previous is not None and visit.at < previous:
+        if index and visit.at < config.visits[index - 1].at:
             raise ConfigError(f"visit at {visit.at} to {visit.url!r} is out of order")
-        previous = visit.at
         if visit.agent not in known:
             raise ConfigError(f"visit at {visit.at}: unknown agent {visit.agent!r}")
         host = urlsplit(visit.url).hostname
@@ -327,35 +338,21 @@ def validate_config(config: ScenarioConfig) -> None:
         if host not in config.dns:
             raise ConfigError(f"visit at {visit.at}: host {host!r} missing from dns")
 
-    for index, window in enumerate(config.mitm_windows):
-        _check_members(window, f"mitm_windows[{index}]", agent=str, host=str)
-        _check_headers(window.headers, f"mitm_windows[{index}]")
+    for window in config.mitm_windows:
         if window.agent not in known:
             raise ConfigError(f"mitm window on {window.host!r}: unknown agent "
                               f"{window.agent!r}")
-        _check_times(f"mitm window on {window.host!r}", window.start, window.end)
         if window.end < window.start:
             raise ConfigError(f"mitm window on {window.host!r}: end before start")
 
-    for host, collector in config.collectors.items():
-        _check_members(collector, f"collectors[{host!r}]", strip_url_query=bool,
-                       drop_captured_headers=bool, warn_on_success_reports=bool)
+    for host in config.collectors:
         if host not in config.dns:
             raise ConfigError(f"collector {host!r} missing from dns")
 
     for host, server in config.servers.items():
-        _check_members(server, f"servers[{host!r}]", ip=str, secure=bool)
-        for path, spec in server.paths.items():
-            where = f"servers[{host!r}].paths[{path!r}]"
-            _check_members(spec, where, status=int)
-            if spec.result_type is not None:
-                _checked(spec.result_type, str, f"{where}.result_type")
-            _check_headers(spec.headers, where)
         if not server.ip:
             raise ConfigError(f"server {host!r} has no address")
         for start, end in server.down:
-            _check_times(f"server {host!r}: down interval", start,
-                         *([] if end is None else [end]))
             if end is not None and end < start:
                 raise ConfigError(f"server {host!r}: down interval ends before start")
 

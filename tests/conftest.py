@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import pytest
@@ -49,8 +50,8 @@ def http_collector():
     servers = []
 
     def start(config: CollectorConfig, sink=None) -> tuple[Collector, str]:
-        collector = Collector(config, sink)
-        server = make_server(collector, "127.0.0.1", 0)
+        collector = Collector(dataclasses.replace(config, listen="127.0.0.1:0"), sink)
+        server = make_server(collector)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         servers.append(server)

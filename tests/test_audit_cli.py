@@ -342,7 +342,7 @@ class TestCollectCommand:
     @pytest.mark.parametrize("document, flags, problem", [
         ({}, ["--listen", "127.0.0.1"], "must be host:port, got '127.0.0.1'"),
         ({"listen": "nohost"}, [], "must be host:port, got 'nohost'"),
-        ({"listen": 5}, [], "must be host:port, got 5"),
+        ({"listen": 5}, [], "collector.listen must be a JSON string, got 5"),
         ({"listen": "127.0.0.1:65536"}, [], "must be host:port"),
     ])
     def test_bad_listen_address_exits_2(self, tmp_path, capsys, document, flags,
@@ -351,6 +351,21 @@ class TestCollectCommand:
         config.write_text(json.dumps(document))
         assert main(["collect", "--config", str(config), *flags]) == 2
         assert problem in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member, value, kind", [
+        ("log_path", 5, "string"),
+        ("strip_url_query", "no", "boolean"),
+        ("drop_captured_headers", 0, "boolean"),
+        ("warn_on_success_reports", "yes", "boolean"),
+        ("listen", ["x"], "string"),
+    ])
+    def test_wrong_member_type_exits_2(self, tmp_path, capsys, member, value, kind):
+        config = tmp_path / "collector.json"
+        # An unroutable address makes a config that passes fail on bind, not serve.
+        config.write_text(json.dumps({"listen": "203.0.113.1:1", member: value}))
+        assert main(["collect", "--config", str(config)]) == 2
+        assert f"collector.{member} must be a JSON {kind}, got {value!r}" in \
+            capsys.readouterr().err
 
     def test_log_path_under_a_regular_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "plain").write_text("")

@@ -514,9 +514,9 @@ class TestServedRetention:
     @pytest.fixture
     def served(self, tmp_path):
         log = tmp_path / "records.ndjson"
-        collector = Collector(CollectorConfig(retention_seconds=10,
+        collector = Collector(CollectorConfig(listen="127.0.0.1:0", retention_seconds=10,
                                               log_path=str(log)))
-        server = make_server(collector, "127.0.0.1", 0)
+        server = make_server(collector)
         clock = [0]
         server.clock = lambda: clock[0]
         yield collector, server, clock, log

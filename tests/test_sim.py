@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nellab.collector import CollectorConfig
+from nellab.headers import NelPolicyHeader
 from nellab.report_engine import MAX_ATTEMPTS
 from nellab.sim import (
     AgentSpec,
@@ -23,6 +24,7 @@ from nellab.sim import (
     DAY_MS,
     DRAIN_WINDOW_MS,
     DnsMutation,
+    Millis,
     PathSpec,
     ScenarioConfig,
     ScenarioTrace,
@@ -32,6 +34,7 @@ from nellab.sim import (
     _World,
     _emit_config,
     builtin_scenarios,
+    check_types,
     config_from_dict,
     config_to_dict,
     diff_traces,
@@ -374,6 +377,45 @@ SCALAR_BASE = {
     "collectors": {"c.example": {"strip_url_query": True}},
 }
 
+# One value of each JSON kind, keyed by the kind's name in errors.
+JSON_VALUES = {"string": "x", "integer": 7, "number": 1.5, "boolean": False,
+               "null": None, "array": [], "object": {}}
+# Members of SCALAR_BASE whose keys are names rather than members.
+MAPPINGS = {"dns", "servers", "paths", "headers", "consent", "collectors"}
+# Optional members that hold null in SCALAR_BASE, with the kind they take otherwise.
+OPTIONAL = {"result_type": "string"}
+# Members that hold a time, which errors name as milliseconds.
+TIMES = {"at", "start", "end"}
+
+
+def _json_kind(value) -> str:
+    return next(kind for kind, example in JSON_VALUES.items()
+                if type(value) is type(example))
+
+
+def _scalar_leaves(node, path=()):
+    if not isinstance(node, (dict, list)):
+        yield path, node
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from _scalar_leaves(child, (*path, key))
+
+
+def _wrong_scalar_cases():
+    for path, value in _scalar_leaves(SCALAR_BASE):
+        where = "scenario"
+        for parent, key in zip((None, *path), path):
+            named = isinstance(key, int) or parent in MAPPINGS
+            where += f"[{key!r}]" if named else f".{key}"
+        kind = OPTIONAL.get(path[-1], _json_kind(value))
+        for other, replacement in JSON_VALUES.items():
+            if other == kind or (other == "null" and path[-1] in OPTIONAL):
+                continue
+            text = ("an integer of milliseconds" if path[-1] in TIMES
+                    else f"a JSON {kind}")
+            yield pytest.param(path, replacement, f"{where} must be {text}, "
+                               f"got {replacement!r}", id=f"{where}={other}")
+
 
 class TestConfigValidation:
     def test_scalar_base_is_valid(self):
@@ -410,6 +452,48 @@ class TestConfigValidation:
         entry[path[-1]] = value
         with pytest.raises(ConfigError, match=re.escape(f"{where} must be a JSON {kind}")):
             validate_config(config_from_dict(document))
+
+    @pytest.mark.parametrize("path, value, message", _wrong_scalar_cases())
+    def test_every_scalar_leaf_is_type_checked(self, path, value, message):
+        document = copy.deepcopy(SCALAR_BASE)
+        entry = document
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        with pytest.raises(ConfigError) as info:
+            validate_config(config_from_dict(document))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("hint, value, message", [
+        (float, "1.5", "x must be a JSON number, got '1.5'"),
+        (tuple[str, ...], "ab", "x must be a JSON array"),
+        (tuple[Millis, Millis | None], {}, "x must be a JSON array"),
+        (tuple[Millis, Millis | None], [1, 2, 3], "x must be an array of 2 items"),
+        (tuple[Millis, Millis | None], [1, "2"],
+         "x[1] must be an integer of milliseconds, got '2'"),
+        (list[int], [1, True], "x[1] must be a JSON integer, got True"),
+        (dict[str, bool], {"k": 1}, "x['k'] must be a JSON boolean, got 1"),
+        (NelPolicyHeader | None, {"max_age": 1}, "x must be a JSON object"),
+        (CollectorConfig, CollectorConfig(log_path=5),
+         "x.log_path must be a JSON string, got 5"),
+    ])
+    def test_every_kind_is_named(self, hint, value, message):
+        with pytest.raises(ConfigError) as info:
+            check_types(value, hint, "x")
+        assert str(info.value) == message
+
+    def test_down_interval_may_be_a_list_of_two(self):
+        config = ScenarioConfig(servers={"x.example": ServerSpec(
+            ip="192.0.2.1", down=[[1, 2], [3, None]])})
+        validate_config(config)
+
+    @pytest.mark.parametrize("interval", [[1], [1, 2, 3], (1, None, 5)])
+    def test_down_interval_of_another_length_rejected(self, interval):
+        config = ScenarioConfig(servers={"x.example": ServerSpec(
+            ip="192.0.2.1", down=[interval])})
+        with pytest.raises(ConfigError, match=re.escape(
+                "scenario.servers['x.example'].down[0] must be an array of 2 items")):
+            validate_config(config)
 
     def test_unknown_agent_in_visit(self):
         config = ScenarioConfig(
