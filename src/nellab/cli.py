@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the config's ip_mode")
     collect.add_argument("--log-path", default=None,
                          help="override the config's persistence file")
-    collect.add_argument("--retention", default=None,
-                         help="override retention (seconds or 'infinite')")
 
     audit = sub.add_parser("audit", help="audit response headers for NEL risks")
     audit.add_argument("target", nargs="?", help="URL to fetch")
@@ -123,15 +121,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 def cmd_collect(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.config).read_text())
-        if args.listen is not None:
-            data["listen"] = args.listen
-        if args.ip_mode is not None:
-            data["ip_mode"] = args.ip_mode
-        if args.log_path is not None:
-            data["log_path"] = args.log_path
-        if args.retention is not None:
-            data["retention"] = (args.retention if args.retention == "infinite"
-                                 else int(args.retention))
+        for member in ("listen", "ip_mode", "log_path"):
+            if getattr(args, member) is not None:
+                data[member] = getattr(args, member)
         config = CollectorConfig.from_dict(data)
         check_types(config, CollectorConfig, "collector")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,

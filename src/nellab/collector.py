@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 from typing import Callable
-from urllib.parse import urlsplit, urlunsplit
 
 from .headers import (
     EndpointGroup,
@@ -39,6 +38,7 @@ from .headers import (
     report_to_dict,
     serialize_nel_header,
     serialize_report_to_header,
+    strip_query,
 )
 
 logger = logging.getLogger(__name__)
@@ -83,17 +83,19 @@ class CollectorConfig:
         """Load a config document; unknown members raise ``TypeError``."""
         data = {**data}
         retention = data.pop("retention", None)
-        if retention in (None, "infinite"):
-            retention_seconds = None
-        elif isinstance(retention, int) and not isinstance(retention, bool) and retention >= 0:
-            retention_seconds = retention
-        else:
+        if retention == "infinite":
+            retention = None
+        elif retention is not None and (type(retention) is not int or retention < 0):
             raise ValueError(f"retention must be seconds or \"infinite\": {retention!r}")
 
         emit_nel = None
         emit_report_to = None
         emit = data.pop("emit_nel_headers", None)
         if emit is not None:
+            for member in ("nel", "report_to"):
+                if not isinstance(emit, dict) or member not in emit:
+                    raise ValueError(
+                        f"emit_nel_headers must be a JSON object with {member!r}")
             emit_nel = policy_from_dict(emit["nel"])
             if isinstance(emit_nel, Removal):
                 raise ValueError("emit_nel_headers must carry a storable policy")
@@ -101,7 +103,7 @@ class CollectorConfig:
             emit_report_to = [group_from_dict(g) for g in
                               (groups if isinstance(groups, list) else [groups])]
 
-        return cls(**data, retention_seconds=retention_seconds, emit_nel=emit_nel,
+        return cls(**data, retention_seconds=retention, emit_nel=emit_nel,
                    emit_report_to=emit_report_to)
 
     def to_dict(self) -> dict:
@@ -123,13 +125,6 @@ class CollectorConfig:
         if self.warn_on_success_reports:
             data["warn_on_success_reports"] = True
         return data
-
-
-def strip_query(url: str) -> str:
-    if not url:
-        return url
-    parts = urlsplit(url)
-    return urlunsplit((parts.scheme, parts.netloc, parts.path, "", ""))
 
 
 def minimize(report: NelReport, config: CollectorConfig) -> NelReport:

@@ -9,14 +9,14 @@ serialize/parse round-trips are exact.
 
 Each shape (NEL policy, Report-To group, report) has one dict-level pair,
 ``*_to_dict``/``*_from_dict``; the string codecs only wrap them in JSON, and
-the collector config and policy-store snapshots use them directly.
+the collector config uses them directly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 REPORT_MEDIA_TYPE = "application/reports+json"
 
@@ -312,6 +312,14 @@ def serialize_report_to_header(groups: list[EndpointGroup]) -> str:
 
 
 # -- network-error report -----------------------------------------------------------
+
+
+def strip_query(url: str) -> str:
+    """``url`` without its query and fragment; an empty URL stays empty."""
+    if not url:
+        return url
+    parts = urlsplit(url)
+    return urlunsplit((parts.scheme, parts.netloc, parts.path, "", ""))
 
 
 def report_to_dict(report: NelReport) -> dict:

@@ -11,7 +11,6 @@ owner. The simulator drives each store single-threaded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -20,12 +19,8 @@ from .headers import (
     NelPolicyHeader,
     ParseError,
     Removal,
-    group_from_dict,
-    group_to_dict,
     parse_nel_header,
     parse_report_to_header,
-    policy_from_dict,
-    policy_to_dict,
 )
 
 CONSENT_ENFORCE = "enforce"
@@ -188,43 +183,8 @@ class PolicyStore:
         if not granted and self.consent_mode == CONSENT_ENFORCE:
             self._entries.pop(host, None)
 
-    def evict_expired(self, now: int) -> int:
-        expired = [h for h, e in self._entries.items() if e.expires_at <= now]
-        for host in expired:
-            del self._entries[host]
-        return len(expired)
-
     def clear_browsing_data(self) -> int:
         count = len(self._entries)
         self._entries.clear()
         self._consent.clear()
         return count
-
-    # -- snapshots ------------------------------------------------------------
-
-    def export_snapshot(self) -> str:
-        """All stored policies as a JSON document, for golden tests."""
-        entries = [{
-            "host": stored.host,
-            "policy": policy_to_dict(stored.policy),
-            "groups": [group_to_dict(g) for g in stored.groups],
-            "received_at": stored.received_at,
-            "expires_at": stored.expires_at,
-        } for stored in self._entries.values()]
-        return json.dumps(entries, indent=2, sort_keys=True)
-
-    def import_snapshot(self, document: str) -> None:
-        """Replace the store contents with a snapshot, validated like headers."""
-        entries = {}
-        for entry in json.loads(document):
-            policy = policy_from_dict(entry["policy"])
-            if isinstance(policy, Removal):
-                raise ParseError(f"snapshot entry {entry['host']!r} is a removal")
-            entries[entry["host"]] = StoredPolicy(
-                host=entry["host"],
-                policy=policy,
-                groups=tuple(group_from_dict(g) for g in entry["groups"]),
-                received_at=entry["received_at"],
-                expires_at=entry["expires_at"],
-            )
-        self._entries = entries

@@ -17,7 +17,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import urlsplit
 
 from .headers import (
     EndpointGroup,
@@ -26,6 +26,7 @@ from .headers import (
     REPORT_PHASES,
     ReportBody,
     serialize_report_batch,
+    strip_query,
 )
 from .policy_store import PolicyStore, SUBDOMAINS_STRICT
 
@@ -81,7 +82,6 @@ class TransportResult:
         return self.kind == "delivered"
 
 
-DELIVERED = TransportResult("delivered")
 UNREACHABLE = TransportResult("unreachable")
 
 Transport = Callable[[str, bytes, int], TransportResult]
@@ -128,10 +128,10 @@ def apply_referrer_restriction(referrer: str, mode: str = "origin-only") -> str:
         raise ValueError(f"unknown referrer mode {mode!r}")
     if not referrer or mode == "full":
         return referrer
+    if mode == "strip-path":
+        return strip_query(referrer)
     parts = urlsplit(referrer)
-    if mode == "origin-only":
-        return f"{parts.scheme}://{parts.netloc}/"
-    return urlunsplit((parts.scheme, parts.netloc, parts.path, "", ""))
+    return f"{parts.scheme}://{parts.netloc}/"
 
 
 def capture_headers(outcome: RequestOutcome,

@@ -175,9 +175,6 @@ class ScenarioTrace:
     def to_json_bytes(self) -> bytes:
         return self.to_json().encode("utf-8")
 
-    def kinds(self) -> list[str]:
-        return [event.kind for event in self.events]
-
 
 def trace_from_json(document: str) -> ScenarioTrace:
     """Load a trace document; a member that is an array or an object raises
@@ -193,17 +190,6 @@ def trace_from_json(document: str) -> ScenarioTrace:
         at = entry.pop("at")
         events.append(TraceEvent(kind, at, entry))
     return ScenarioTrace(name=data["name"], seed=data["seed"], events=events)
-
-
-def diff_traces(a: ScenarioTrace, b: ScenarioTrace) -> list[dict]:
-    """Event-level differences between two traces; empty iff identical."""
-    diffs = []
-    for index in range(max(len(a.events), len(b.events))):
-        ea = a.events[index].to_dict() if index < len(a.events) else None
-        eb = b.events[index].to_dict() if index < len(b.events) else None
-        if ea != eb:
-            diffs.append({"index": index, "a": ea, "b": eb})
-    return diffs
 
 
 # -- config (de)serialization --------------------------------------------------
@@ -282,27 +268,39 @@ def _load(cls, data, where: str):
     return entry
 
 
+def _load_all(cls, entries: list, where: str) -> list:
+    """``cls(**entry)`` of each entry; names are built only after one fails."""
+    try:
+        return [cls(**entry) for entry in entries]
+    except TypeError:
+        return [_load(cls, entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Load a scenario document; the inverse of :func:`config_to_dict`.
 
     Omitted members take the dataclass defaults; unknown ones raise TypeError.
-    A member of the wrong container type raises :class:`ConfigError`.
+    A container this walks that has the wrong type raises :class:`ConfigError`
+    naming it; :func:`validate_config` checks the rest.
     """
     config = _load(ScenarioConfig, data, "scenario")
-    config.agents = [_load(AgentSpec, a, f"agents[{i}]")
-                     for i, a in enumerate(config.agents)]
-    config.dns_mutations = [DnsMutation(**m) for m in config.dns_mutations]
-    config.servers = {host: _load(ServerSpec, s, f"servers[{host!r}]")
+    config.servers = {host: _load(ServerSpec, s, f"scenario.servers[{host!r}]")
                       for host, s in config.servers.items()}
     for host, server in config.servers.items():
-        server.down = [tuple(interval) for interval in server.down]
-        server.paths = {path: _load(PathSpec, p, f"servers[{host!r}].paths[{path!r}]")
+        where = f"scenario.servers[{host!r}]"
+        try:
+            server.down = [tuple(interval) for interval in server.down]
+        except TypeError:
+            for i, interval in enumerate(server.down):
+                _checked(interval, tuple, f"{where}.down[{i}]")
+            raise
+        server.paths = {path: _load(PathSpec, p, f"{where}.paths[{path!r}]")
                         for path, p in server.paths.items()}
-    config.mitm_windows = [_load(MitmWindow, w, f"mitm_windows[{i}]")
-                           for i, w in enumerate(config.mitm_windows)]
-    config.visits = [Visit(**v) for v in config.visits]
+    for name, cls in (("agents", AgentSpec), ("dns_mutations", DnsMutation),
+                      ("mitm_windows", MitmWindow), ("visits", Visit)):
+        setattr(config, name, _load_all(cls, getattr(config, name), f"scenario.{name}"))
     config.collectors = {
-        host: CollectorConfig.from_dict(_checked(c, dict, f"collectors[{host!r}]"))
+        host: CollectorConfig.from_dict(_checked(c, dict, f"scenario.collectors[{host!r}]"))
         for host, c in config.collectors.items()}
     return config
 

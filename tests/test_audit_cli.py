@@ -210,6 +210,13 @@ class TestScenarioCommand:
         ('{"agents": [{"name": "a", "consent": []}]}', "consent"),
         ('{"servers": {"s.example": {"ip": "192.0.2.1", "paths": []}}}', "paths"),
         ('{"collectors": {"c.example": []}}', "c.example"),
+        ('{"dns_mutations": [5]}', "scenario.dns_mutations[0] must be a JSON object"),
+        ('{"visits": [{"at": 1, "agent": "a", "url": "https://x.example/"}, 7]}',
+         "scenario.visits[1] must be a JSON object"),
+        ('{"servers": {"s.example": {"ip": "192.0.2.1", "down": [[1, 2], 5]}}}',
+         "scenario.servers['s.example'].down[1] must be a JSON array"),
+        ('{"collectors": {"c.example": {"emit_nel_headers": 5}}}',
+         "emit_nel_headers must be a JSON object with 'nel'"),
     ])
     def test_wrong_container_type_rejected(self, tmp_path, capsys, document, member):
         config_path = tmp_path / "bad.json"
@@ -366,6 +373,18 @@ class TestCollectCommand:
         assert main(["collect", "--config", str(config)]) == 2
         assert f"collector.{member} must be a JSON {kind}, got {value!r}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("emit, problem", [
+        (5, "emit_nel_headers must be a JSON object with 'nel'"),
+        ({}, "emit_nel_headers must be a JSON object with 'nel'"),
+        ({"nel": EMIT["emit_nel_headers"]["nel"]},
+         "emit_nel_headers must be a JSON object with 'report_to'"),
+    ])
+    def test_malformed_emit_nel_headers_exits_2(self, tmp_path, capsys, emit, problem):
+        config = tmp_path / "collector.json"
+        config.write_text(json.dumps({"listen": "203.0.113.1:1", "emit_nel_headers": emit}))
+        assert main(["collect", "--config", str(config)]) == 2
+        assert problem in capsys.readouterr().err
 
     def test_log_path_under_a_regular_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "plain").write_text("")

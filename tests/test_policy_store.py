@@ -1,7 +1,5 @@
 """Policy cache: install/replace/remove, expiry, subdomains, consent."""
 
-import json
-
 from hypothesis import given, strategies as st
 
 import pytest
@@ -191,23 +189,13 @@ class TestExpiry:
         assert store.lookup("a.example", 999) is not None
         assert store.lookup("a.example", 1000) is None
 
-    def test_evict_expired_boundary(self):
-        store = PolicyStore()
-        install(store, "a.example", now=0, nel='{"report_to":"g","max_age":1}')
-        assert store.evict_expired(999) == 0
-        assert store.evict_expired(1001) == 1
-
     def test_century_lifetime_retained(self):
         century = 100 * 365 * 86400
         ten_years_ms = 10 * 365 * 86400 * 1000
         store = PolicyStore()
         install(store, "a.example", now=0,
                 nel=f'{{"report_to":"g","max_age":{century}}}')
-        assert store.evict_expired(ten_years_ms) == 0
         assert store.lookup("a.example", ten_years_ms) is not None
-
-    def test_evict_empty_store(self):
-        assert PolicyStore().evict_expired(10**15) == 0
 
     def test_expiry_is_monotone(self):
         store = PolicyStore()
@@ -235,26 +223,6 @@ class TestClearBrowsingData:
         install(store, "a.example")
         store.clear_browsing_data()
         assert store.consent("a.example") is False
-
-
-class TestSnapshot:
-    def test_round_trip(self):
-        store = PolicyStore()
-        install(store, "a.example", now=7)
-        install(store, "b.example", now=9, nel=NEL_SUB)
-        document = store.export_snapshot()
-        restored = PolicyStore()
-        restored.import_snapshot(document)
-        assert restored.export_snapshot() == document
-        assert restored.lookup("x.b.example", 100)[1] == "b.example"
-
-    def test_snapshot_is_json_array(self):
-        store = PolicyStore()
-        install(store, "a.example")
-        parsed = json.loads(store.export_snapshot())
-        assert isinstance(parsed, list)
-        assert parsed[0]["host"] == "a.example"
-        assert parsed[0]["expires_at"] == 86400 * 1000
 
 
 # -- randomized properties (the full-size suite lives in test_acceptance) ----

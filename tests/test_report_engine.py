@@ -12,10 +12,11 @@ from nellab.report_engine import (
     RequestOutcome,
     TransportResult,
     UNREACHABLE,
-    DELIVERED,
     apply_referrer_restriction,
     capture_headers,
 )
+
+DELIVERED = TransportResult("delivered")
 
 GROUPS = '{"group":"g","max_age":86400,"endpoints":[{"url":"https://c.example/up"}]}'
 
