@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--listen", default=None,
                          help="override the config's listen address")
     collect.add_argument("--ip-mode", default=None,
-                         choices=["volatile", "truncate", "full"],
                          help="override the config's ip_mode")
     collect.add_argument("--log-path", default=None,
                          help="override the config's persistence file")

@@ -2,8 +2,8 @@
 
 Every ingested report runs through a minimization pipeline before it is
 recorded: URL query/fragment stripping, captured-header dropping, and
-client-IP handling (``volatile`` keeps the address in memory only,
-``truncate`` zeroes the host bits, ``full`` stores it verbatim).
+client-IP handling (``volatile`` stores no address, ``truncate`` zeroes
+the host bits, ``full`` stores it verbatim).
 
 Records append, when configured, to a newline-delimited JSON log, so the
 volatile-IP guarantee can be checked by scanning the file for address
@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import ipaddress
 import json
-import logging
 import os
 import re
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Literal
 
 from .headers import (
     EndpointGroup,
@@ -40,10 +39,6 @@ from .headers import (
     serialize_report_to_header,
     strip_query,
 )
-
-logger = logging.getLogger(__name__)
-
-IP_MODES = ("volatile", "truncate", "full")
 
 MAX_BODY_BYTES = 1024 * 1024
 
@@ -63,18 +58,15 @@ class CollectorConfig:
     """Operating configuration for one collector instance."""
 
     listen: str = "127.0.0.1:9390"
-    ip_mode: str = "volatile"
+    ip_mode: Literal["volatile", "truncate", "full"] = "volatile"
     strip_url_query: bool = True
     drop_captured_headers: bool = True
     retention_seconds: int | None = None  # None = infinite
     emit_nel: NelPolicyHeader | None = None
     emit_report_to: list[EndpointGroup] | None = None
     log_path: str | None = None
-    warn_on_success_reports: bool = False
 
     def __post_init__(self):
-        if self.ip_mode not in IP_MODES:
-            raise ValueError(f"unknown ip_mode {self.ip_mode!r}")
         if (self.emit_nel is None) != (not self.emit_report_to):
             raise ValueError("emit_nel_headers needs both a policy and groups")
 
@@ -96,12 +88,18 @@ class CollectorConfig:
                 if not isinstance(emit, dict) or member not in emit:
                     raise ValueError(
                         f"emit_nel_headers must be a JSON object with {member!r}")
-            emit_nel = policy_from_dict(emit["nel"])
+            try:
+                emit_nel = policy_from_dict(emit["nel"])
+            except ParseError as exc:
+                raise ParseError(f"emit_nel_headers.nel: {exc}") from None
             if isinstance(emit_nel, Removal):
                 raise ValueError("emit_nel_headers must carry a storable policy")
             groups = emit["report_to"]
-            emit_report_to = [group_from_dict(g) for g in
-                              (groups if isinstance(groups, list) else [groups])]
+            try:
+                emit_report_to = [group_from_dict(g) for g in
+                                  (groups if isinstance(groups, list) else [groups])]
+            except ParseError as exc:
+                raise ParseError(f"emit_nel_headers.report_to: {exc}") from None
 
         return cls(**data, retention_seconds=retention, emit_nel=emit_nel,
                    emit_report_to=emit_report_to)
@@ -122,8 +120,6 @@ class CollectorConfig:
             }
         if self.log_path is not None:
             data["log_path"] = self.log_path
-        if self.warn_on_success_reports:
-            data["warn_on_success_reports"] = True
         return data
 
 
@@ -144,11 +140,12 @@ def minimize(report: NelReport, config: CollectorConfig) -> NelReport:
 
 
 def persisted_ip(client_ip: str, mode: str) -> str:
-    """The form of a client address that may reach persistent storage."""
-    if mode == "volatile":
-        return REDACTED
+    """The form of a client address that may reach persistent storage; any
+    mode but ``full`` and ``truncate`` redacts it."""
     if mode == "full":
         return client_ip
+    if mode != "truncate":
+        return REDACTED
     try:
         address = ipaddress.ip_address(client_ip)
     except ValueError:
@@ -161,17 +158,13 @@ def persisted_ip(client_ip: str, mode: str) -> str:
 
 @dataclass
 class StoredRecord:
-    """One persisted report with its delivery metadata.
-
-    ``client_ip`` is the persisted form; in volatile mode the real address
-    lives only in ``volatile_ip``, which never serializes.
-    """
+    """One persisted report with its delivery metadata; ``client_ip`` is the
+    persisted form."""
 
     received_at: int
     report: NelReport
     client_ip: str
     user_agent: str
-    volatile_ip: str | None = field(default=None, repr=False, compare=False)
 
     def to_line(self) -> str:
         return json.dumps({
@@ -216,19 +209,9 @@ class Collector:
             raise RejectError(400, str(exc)) from None
 
         stored_ip = persisted_ip(client_ip, self.config.ip_mode)
-        records = []
-        for report in reports:
-            if self.config.warn_on_success_reports and report.body.type == "ok":
-                logger.warning(
-                    "success report for %s ingested by a failure-only collector",
-                    report.url)
-            records.append(StoredRecord(
-                received_at=now,
-                report=minimize(report, self.config),
-                client_ip=stored_ip,
-                user_agent=user_agent,
-                volatile_ip=client_ip if self.config.ip_mode == "volatile" else None,
-            ))
+        records = [StoredRecord(received_at=now, report=minimize(report, self.config),
+                                client_ip=stored_ip, user_agent=user_agent)
+                   for report in reports]
         with self._lock:
             # Disk first: a failed append reaches neither the count nor the sink.
             if self.config.log_path is not None:

@@ -2,8 +2,8 @@
 
 One entry per host, last writer wins. Policies expire after ``max_age``
 seconds (lifetimes up to centuries are representable), match subdomains
-when flagged, are deleted by a ``max_age=0`` header, and, in ``enforce``
-consent mode, are only stored for hosts the user has consented to.
+when flagged, are deleted by a ``max_age=0`` header, and, with
+``enforce_consent`` set, are only stored for hosts the user has consented to.
 
 Single-writer, multiple-reader: all mutations must come from one logical
 owner. The simulator drives each store single-threaded.
@@ -23,31 +23,16 @@ from .headers import (
     parse_report_to_header,
 )
 
-CONSENT_ENFORCE = "enforce"
-CONSENT_BYPASS = "bypass"
-CONSENT_MODES = (CONSENT_ENFORCE, CONSENT_BYPASS)
-
-SUBDOMAINS_PERMISSIVE = "permissive"
-SUBDOMAINS_STRICT = "strict"
-SUBDOMAIN_MODES = (SUBDOMAINS_PERMISSIVE, SUBDOMAINS_STRICT)
-
 
 @dataclass
 class StoredPolicy:
-    """A policy cached for one host, with the groups it was delivered with."""
+    """A policy cached for one host, with the endpoint group it names."""
 
     host: str
     policy: NelPolicyHeader
-    groups: tuple[EndpointGroup, ...]
+    group: EndpointGroup
     received_at: int
     expires_at: int
-
-    def endpoint_group(self) -> EndpointGroup:
-        """The group named by the policy; guaranteed present at install time."""
-        for group in self.groups:
-            if group.name == self.policy.report_to:
-                return group
-        raise LookupError(f"group {self.policy.report_to!r} missing from store entry")
 
 
 @dataclass(frozen=True)
@@ -85,14 +70,8 @@ def superdomains(host: str) -> list[str]:
 class PolicyStore:
     """Policy cache plus consent ledger for one browser agent."""
 
-    def __init__(self, consent_mode: str = CONSENT_BYPASS,
-                 subdomain_mode: str = SUBDOMAINS_PERMISSIVE):
-        if consent_mode not in CONSENT_MODES:
-            raise ValueError(f"unknown consent mode {consent_mode!r}")
-        if subdomain_mode not in SUBDOMAIN_MODES:
-            raise ValueError(f"unknown subdomain mode {subdomain_mode!r}")
-        self.consent_mode = consent_mode
-        self.subdomain_mode = subdomain_mode
+    def __init__(self, enforce_consent: bool = False):
+        self.enforce_consent = enforce_consent
         self._entries: dict[str, StoredPolicy] = {}
         self._consent: dict[str, bool] = {}
 
@@ -126,17 +105,18 @@ class PolicyStore:
             groups = _parse_report_to(report_to)
         except ParseError:
             return StoreEffect("ignored", "parse_error")
-        if not any(g.name == parsed.report_to for g in groups):
+        group = next((g for g in groups if g.name == parsed.report_to), None)
+        if group is None:
             return StoreEffect("ignored", "unknown_group")
 
-        if self.consent_mode == CONSENT_ENFORCE and not self._consent.get(host):
+        if self.enforce_consent and not self._consent.get(host):
             return StoreEffect("ignored", "no_consent")
 
         replaced = host in self._entries
         stored = self._entries[host] = StoredPolicy(
             host=host,
             policy=parsed,
-            groups=groups,
+            group=group,
             received_at=now,
             expires_at=now + parsed.max_age * 1000,
         )
@@ -169,18 +149,12 @@ class PolicyStore:
                 return entry, sup, True
         return None
 
-    def hosts(self) -> list[str]:
-        return list(self._entries)
-
-    def consent(self, host: str) -> bool:
-        return self._consent.get(host.lower(), False)
-
     # -- mutation -----------------------------------------------------------
 
     def set_consent(self, host: str, granted: bool) -> None:
         host = host.lower()
         self._consent[host] = granted
-        if not granted and self.consent_mode == CONSENT_ENFORCE:
+        if not granted and self.enforce_consent:
             self._entries.pop(host, None)
 
     def clear_browsing_data(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Literal
 from urllib.parse import urlsplit
 
 from .headers import (
@@ -28,12 +28,10 @@ from .headers import (
     serialize_report_batch,
     strip_query,
 )
-from .policy_store import PolicyStore, SUBDOMAINS_STRICT
+from .policy_store import PolicyStore
 
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_MS = 60_000
-
-REFERRER_MODES = ("strip-path", "origin-only", "full")
 
 SUCCESS_TYPE = "ok"
 
@@ -100,7 +98,6 @@ class DeliveryTask:
     group: EndpointGroup
     event_time: int
     attempts: int = 0
-    is_meta: bool = False
     failed_endpoints: set[str] = field(default_factory=set)
     seq: int = 0
 
@@ -118,14 +115,16 @@ class DeliveryAttempt:
     response_headers: dict[str, str] | None = None
 
 
-def apply_referrer_restriction(referrer: str, mode: str = "origin-only") -> str:
+ReferrerMode = Literal["origin-only", "strip-path", "full"]
+
+
+def apply_referrer_restriction(referrer: str, mode: ReferrerMode = "origin-only") -> str:
     """Reduce a referrer URL before it enters a report body.
 
     ``origin-only`` keeps scheme and host, ``strip-path`` keeps the path but
-    drops query and fragment, ``full`` passes the value through.
+    drops query and fragment, ``full`` passes the value through. Any other
+    mode is read as ``origin-only``.
     """
-    if mode not in REFERRER_MODES:
-        raise ValueError(f"unknown referrer mode {mode!r}")
     if not referrer or mode == "full":
         return referrer
     if mode == "strip-path":
@@ -152,17 +151,19 @@ class ReportEngine:
 
     ``sink``, when given, receives ``(kind, at, data)`` engine events:
     ``report_queued``, ``meta_report_queued``, and ``delivery_attempt``.
-    Each ``data`` dict is new, and the sink may keep or change it.
+    Each ``data`` dict is new, and the sink may keep or change it. With
+    ``strict_subdomains`` set, a policy found through a superdomain governs
+    only dns-phase outcomes.
     """
 
     def __init__(self, store: PolicyStore, rng: random.Random,
                  sink: Callable[[str, int, dict], None] | None = None,
-                 referrer_mode: str = "origin-only"):
-        if referrer_mode not in REFERRER_MODES:
-            raise ValueError(f"unknown referrer mode {referrer_mode!r}")
+                 referrer_mode: ReferrerMode = "origin-only",
+                 strict_subdomains: bool = False):
         self.store = store
         self.rng = rng
         self.referrer_mode = referrer_mode
+        self.strict_subdomains = strict_subdomains
         self._sink = sink
         # Queued tasks by seq, in insertion order, and a heap of
         # (due time, seq) over them.
@@ -179,8 +180,7 @@ class ReportEngine:
         if found is None:
             return None
         stored, _, via_subdomain = found
-        if (via_subdomain and self.store.subdomain_mode == SUBDOMAINS_STRICT
-                and outcome.phase != "dns"):
+        if via_subdomain and self.strict_subdomains and outcome.phase != "dns":
             return None
 
         policy = stored.policy
@@ -205,9 +205,8 @@ class ReportEngine:
         )
         task = DeliveryTask(
             report=NelReport(age=0, url=outcome.url, body=body),
-            group=stored.endpoint_group(),
+            group=stored.group,
             event_time=now,
-            is_meta=is_meta,
             seq=self._seq,
         )
         self._seq += 1

@@ -25,14 +25,14 @@ import random
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import cache, partial
-from typing import NewType, Union, get_args, get_origin, get_type_hints
+from typing import Literal, NewType, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 from .collector import Collector, CollectorConfig, RejectError, StoredRecord
 from .headers import Endpoint, EndpointGroup, NelPolicyHeader, serialize_nel_header, \
     serialize_report_to_header
-from .policy_store import CONSENT_MODES, PolicyStore, SUBDOMAIN_MODES
-from .report_engine import REFERRER_MODES, ReportEngine, RequestOutcome, \
+from .policy_store import PolicyStore
+from .report_engine import ReferrerMode, ReportEngine, RequestOutcome, \
     TransportResult, UNREACHABLE
 
 DAY_MS = 86_400_000
@@ -60,12 +60,12 @@ class AgentSpec:
     """One simulated browser."""
 
     name: str
-    consent_mode: str = "bypass"
-    subdomain_mode: str = "permissive"
+    consent_mode: Literal["bypass", "enforce"] = "bypass"
+    subdomain_mode: Literal["permissive", "strict"] = "permissive"
     consent: dict[str, bool] = field(default_factory=dict)
     ip: str = "203.0.113.10"
     user_agent: str = "nel-lab-sim/1.0"
-    referrer_mode: str = "origin-only"
+    referrer_mode: ReferrerMode = "origin-only"
 
 
 @dataclass
@@ -248,6 +248,10 @@ def check_types(value, hint, where: str) -> None:
     elif kind is dict:
         for key, item in _checked(value, dict, where).items():
             check_types(item, args[1], f"{where}[{key!r}]")
+    elif kind is Literal:
+        if value not in args:
+            raise ConfigError(f"{where} must be one of "
+                              f"{', '.join(map(repr, args))}, got {value!r}")
     elif kind is list or kind is tuple:
         if kind is list or args[-1] is Ellipsis:
             args = args[:1] * len(_checked(value, kind, where))
@@ -261,7 +265,10 @@ def check_types(value, hint, where: str) -> None:
 
 def _load(cls, data, where: str):
     """``cls(**data)`` with its list and dict members type-checked."""
-    entry = cls(**_checked(data, dict, where))
+    try:
+        entry = cls(**_checked(data, dict, where))
+    except TypeError as exc:  # an unknown or missing member
+        raise ConfigError(f"{where}: {exc}") from None
     for name, _, kind, _ in _shape(cls)[1]:
         if (kind is list or kind is dict) and not isinstance(getattr(entry, name), kind):
             raise ConfigError(f"{where}.{name} must be {_JSON_KINDS[kind][0]}")
@@ -279,9 +286,10 @@ def _load_all(cls, entries: list, where: str) -> list:
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Load a scenario document; the inverse of :func:`config_to_dict`.
 
-    Omitted members take the dataclass defaults; unknown ones raise TypeError.
-    A container this walks that has the wrong type raises :class:`ConfigError`
-    naming it; :func:`validate_config` checks the rest.
+    Omitted members take the dataclass defaults. An unknown or missing
+    member, a container this walks that has the wrong type, or a collector
+    config ``CollectorConfig.from_dict`` refuses raises :class:`ConfigError`
+    naming the entry; :func:`validate_config` checks the rest.
     """
     config = _load(ScenarioConfig, data, "scenario")
     config.servers = {host: _load(ServerSpec, s, f"scenario.servers[{host!r}]")
@@ -299,22 +307,21 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     for name, cls in (("agents", AgentSpec), ("dns_mutations", DnsMutation),
                       ("mitm_windows", MitmWindow), ("visits", Visit)):
         setattr(config, name, _load_all(cls, getattr(config, name), f"scenario.{name}"))
-    config.collectors = {
-        host: CollectorConfig.from_dict(_checked(c, dict, f"scenario.collectors[{host!r}]"))
-        for host, c in config.collectors.items()}
+    collectors = {}
+    for host, c in config.collectors.items():
+        try:
+            collectors[host] = CollectorConfig.from_dict(c)
+        except (TypeError, ValueError) as exc:
+            where = f"scenario.collectors[{host!r}]"
+            _checked(c, dict, where)
+            raise ConfigError(f"{where}: {exc}") from None
+    config.collectors = collectors
     return config
 
 
 def validate_config(config: ScenarioConfig) -> None:
     """Raise :class:`ConfigError` naming the first offending entry."""
     check_types(config, ScenarioConfig, "scenario")
-    for agent in config.agents:
-        for member, modes in (("consent_mode", CONSENT_MODES),
-                              ("subdomain_mode", SUBDOMAIN_MODES),
-                              ("referrer_mode", REFERRER_MODES)):
-            if getattr(agent, member) not in modes:
-                raise ConfigError(f"agent {agent.name!r}: unknown {member} "
-                                  f"{getattr(agent, member)!r}")
     names = [a.name for a in config.agents]
     if len(set(names)) != len(names):
         raise ConfigError("agent names must be unique")
@@ -361,8 +368,7 @@ def validate_config(config: ScenarioConfig) -> None:
 class _Agent:
     def __init__(self, spec: AgentSpec, seed: int, world: "_World"):
         self.spec = spec
-        self.store = PolicyStore(consent_mode=spec.consent_mode,
-                                 subdomain_mode=spec.subdomain_mode)
+        self.store = PolicyStore(enforce_consent=spec.consent_mode == "enforce")
         for host, granted in spec.consent.items():
             self.store.set_consent(host, granted)
         self.last_resolved: dict[str, str] = {}
@@ -373,6 +379,7 @@ class _Agent:
             rng=random.Random(f"{seed}/{spec.name}"),
             sink=self._sink,
             referrer_mode=spec.referrer_mode,
+            strict_subdomains=spec.subdomain_mode == "strict",
         )
 
     def _sink(self, kind: str, at: int, data: dict) -> None:

@@ -248,10 +248,10 @@ def test_criterion_8_policy_store_property_suite():
                     # A lookup finds each live host's own entry and evicts
                     # each expired one, so the hosts left are the live ones.
                     mirror = {h: e for h, e in mirror.items() if e[1] > now}
-                    for h in sorted({*store.hosts(), *mirror}):
+                    for h in sorted({*store._entries, *mirror}):
                         got = store.lookup(h, now)
                         assert (got is not None and got[1] == h) == (h in mirror)
-                    assert sorted(store.hosts()) == sorted(mirror)
+                    assert sorted(store._entries) == sorted(mirror)
 
             # Cardinality and last-writer-wins against the model.
             live = {h: e for h, e in mirror.items() if e[1] > now}
@@ -272,9 +272,9 @@ def test_criterion_8_policy_store_property_suite():
 
             # Removal idempotence.
             def contents():
-                for host in store.hosts():
+                for host in list(store._entries):
                     store.lookup(host, now)  # evicts the expired entries
-                return [(h, store.lookup(h, now)) for h in sorted(store.hosts())]
+                return [(h, store.lookup(h, now)) for h in sorted(store._entries)]
 
             victim = random_host()
             store.process_policy_headers(victim, True, '{"max_age":0}', None, now)

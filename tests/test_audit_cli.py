@@ -183,7 +183,8 @@ class TestScenarioCommand:
         config_path.write_text(
             '{"agents": [{"name": "a", "referrer_mode": "everything"}]}')
         assert main(["scenario", str(config_path)]) == 2
-        assert "unknown referrer_mode 'everything'" in capsys.readouterr().err
+        assert ("scenario.agents[0].referrer_mode must be one of 'origin-only', "
+                "'strip-path', 'full', got 'everything'") in capsys.readouterr().err
 
     def test_non_integer_visit_time_exits_2(self, tmp_path, capsys):
         from nellab.sim import builtin_scenarios, config_to_dict
@@ -216,7 +217,17 @@ class TestScenarioCommand:
         ('{"servers": {"s.example": {"ip": "192.0.2.1", "down": [[1, 2], 5]}}}',
          "scenario.servers['s.example'].down[1] must be a JSON array"),
         ('{"collectors": {"c.example": {"emit_nel_headers": 5}}}',
-         "emit_nel_headers must be a JSON object with 'nel'"),
+         "scenario.collectors['c.example']: emit_nel_headers must be a JSON object "
+         "with 'nel'"),
+        ('{"visits": [{"at": 1, "agent": "a"}]}',
+         "scenario.visits[0]: Visit.__init__() missing 1 required positional "
+         "argument: 'url'"),
+        ('{"collectors": {"c.example": {"retention": "soon"}}}',
+         "scenario.collectors['c.example']: retention must be seconds or "
+         "\"infinite\": 'soon'"),
+        ('{"collectors": {"c.example": {"ip_mode": "x"}}}',
+         "scenario.collectors['c.example'].ip_mode must be one of 'volatile', "
+         "'truncate', 'full', got 'x'"),
     ])
     def test_wrong_container_type_rejected(self, tmp_path, capsys, document, member):
         config_path = tmp_path / "bad.json"
@@ -329,10 +340,16 @@ class TestFetchRedirects:
 
 
 class TestCollectCommand:
-    def test_bad_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("document, flags, value", [
+        ({"ip_mode": "wat"}, [], "wat"),
+        ({}, ["--ip-mode", "bogus"], "bogus"),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, document, flags, value):
         path = tmp_path / "collector.json"
-        path.write_text('{"ip_mode": "wat"}')
-        assert main(["collect", "--config", str(path)]) == 2
+        path.write_text(json.dumps(document))
+        assert main(["collect", "--config", str(path), *flags]) == 2
+        assert ("collector.ip_mode must be one of 'volatile', 'truncate', 'full', "
+                f"got {value!r}") in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["collect", "--config", "/nonexistent.json"]) == 2
@@ -363,7 +380,6 @@ class TestCollectCommand:
         ("log_path", 5, "string"),
         ("strip_url_query", "no", "boolean"),
         ("drop_captured_headers", 0, "boolean"),
-        ("warn_on_success_reports", "yes", "boolean"),
         ("listen", ["x"], "string"),
     ])
     def test_wrong_member_type_exits_2(self, tmp_path, capsys, member, value, kind):
@@ -379,6 +395,10 @@ class TestCollectCommand:
         ({}, "emit_nel_headers must be a JSON object with 'nel'"),
         ({"nel": EMIT["emit_nel_headers"]["nel"]},
          "emit_nel_headers must be a JSON object with 'report_to'"),
+        ({"nel": 5, "report_to": []}, "emit_nel_headers.nel: policy must be one JSON object"),
+        ({"nel": EMIT["emit_nel_headers"]["nel"],
+          "report_to": [{"group": "meta", "max_age": 3600, "endpoints": [{"url": "http://x"}]}]},
+         "emit_nel_headers.report_to: endpoint URL must be absolute https: 'http://x'"),
     ])
     def test_malformed_emit_nel_headers_exits_2(self, tmp_path, capsys, emit, problem):
         config = tmp_path / "collector.json"

@@ -15,7 +15,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from nellab.headers import NelReport, ReportBody, report_to_dict, serialize_report_batch
-from nellab.policy_store import PolicyStore, SUBDOMAINS_STRICT
+from nellab.policy_store import PolicyStore
 from nellab.report_engine import (
     BACKOFF_BASE_MS,
     MAX_ATTEMPTS,
@@ -45,17 +45,18 @@ class ReferenceTask:
     event_time: int
     due: int
     attempts: int = 0
-    is_meta: bool = False
     failed_endpoints: set = field(default_factory=set)
 
 
 class ListScanEngine:
     """The engine before its heap queue: every call scans one task list."""
 
-    def __init__(self, store, rng, sink, referrer_mode="origin-only"):
+    def __init__(self, store, rng, sink, referrer_mode="origin-only",
+                 strict_subdomains=False):
         self.store = store
         self.rng = rng
         self.referrer_mode = referrer_mode
+        self.strict_subdomains = strict_subdomains
         self._sink = sink
         self._queue: list[ReferenceTask] = []
 
@@ -64,8 +65,7 @@ class ListScanEngine:
         if found is None:
             return None
         stored, _, via_subdomain = found
-        if (via_subdomain and self.store.subdomain_mode == SUBDOMAINS_STRICT
-                and outcome.phase != "dns"):
+        if via_subdomain and self.strict_subdomains and outcome.phase != "dns":
             return None
         policy = stored.policy
         fraction = (policy.success_fraction if outcome.is_success
@@ -87,8 +87,7 @@ class ListScanEngine:
             type=outcome.result_type,
         )
         task = ReferenceTask(report=NelReport(age=0, url=outcome.url, body=body),
-                             group=stored.endpoint_group(), event_time=now, due=now,
-                             is_meta=is_meta)
+                             group=stored.group, event_time=now, due=now)
         self._queue.append(task)
         if is_meta:
             self._sink("meta_report_queued", now, {
@@ -213,7 +212,7 @@ policies = st.tuples(
 
 def task_view(task):
     return (report_to_dict(task.report), task.group, task.event_time, task.attempts,
-            task.is_meta, sorted(task.failed_endpoints))
+            sorted(task.failed_endpoints))
 
 
 def attempt_view(attempt):
@@ -227,18 +226,19 @@ class EngineAgainstListScan(RuleBasedStateMachine):
                                 min_size=len(ENDPOINTS), max_size=len(ENDPOINTS)),
                 installed=st.lists(policies, min_size=len(HOSTS), max_size=len(HOSTS)))
     def start(self, seed, strict, states, installed):
-        mode = "strict" if strict else "permissive"
         self.now = 0
         self.states = dict(zip(ENDPOINTS, states))
         self.events = ([], [])
-        self.stores = (PolicyStore(subdomain_mode=mode), PolicyStore(subdomain_mode=mode))
+        self.stores = (PolicyStore(), PolicyStore())
         self.transports = (ScriptedTransport(self.states), ScriptedTransport(self.states))
         self.engine = ReportEngine(
             self.stores[0], random.Random(seed),
-            sink=lambda kind, at, data: self.events[0].append((kind, at, data)))
+            sink=lambda kind, at, data: self.events[0].append((kind, at, data)),
+            strict_subdomains=strict)
         self.reference = ListScanEngine(
             self.stores[1], random.Random(seed),
-            sink=lambda kind, at, data: self.events[1].append((kind, at, data)))
+            sink=lambda kind, at, data: self.events[1].append((kind, at, data)),
+            strict_subdomains=strict)
         for host, policy in zip(HOSTS, installed):
             self.install(host, policy)
 

@@ -1,9 +1,12 @@
 """Every name the package defines is used by the program, not only by tests.
 
 The scan reads each module of ``src/nellab`` for its module-level functions,
-classes and constants and its classes' public methods. A name passes when
-its leaf (``lookup`` for ``PolicyStore.lookup``) appears as a word anywhere
-in ``src/``, ``scripts/`` or ``perfbench/`` outside its own definition.
+classes and constants and its classes' public methods. A module-level name
+passes when it appears as a word anywhere in ``src/``, ``scripts/`` or
+``perfbench/`` outside its own definition; a method passes when its leaf
+follows a dot there (``.lookup`` for ``PolicyStore.lookup``). The scan does
+not know types, so any attribute of the same name still counts: a
+``PolicyStore.consent()`` method would pass on ``spec.consent``.
 """
 
 import ast
@@ -29,7 +32,7 @@ ALLOWED = {
 
 
 def definitions():
-    """``(name, path, node)`` for every scanned definition."""
+    """``(name, path, node, is_method)`` for every scanned definition."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Assign):
@@ -41,12 +44,12 @@ def definitions():
             else:
                 continue
             for name in names:
-                yield name, path, node
+                yield name, path, node, False
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, ast.FunctionDef) and \
                             not member.name.startswith("_"):
-                        yield member.name, path, member
+                        yield member.name, path, member, True
 
 
 def unused_names() -> list[tuple[str, str]]:
@@ -54,8 +57,9 @@ def unused_names() -> list[tuple[str, str]]:
     program = {path: path.read_text().splitlines()
                for folder in PROGRAM_DIRS for path in sorted((ROOT / folder).rglob("*.py"))}
     unused = []
-    for name, path, node in definitions():
-        word = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
+    for name, path, node, is_method in definitions():
+        lead = r"\." if is_method else r"(?<!\w)"
+        word = re.compile(lead + re.escape(name) + r"(?!\w)")
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         own = range(first, node.end_lineno + 1)
         if not any(word.search(line)
