@@ -20,6 +20,7 @@ from .headers import NelPolicyHeader, ParseError, Removal, parse_nel_header
 
 USER_AGENT = "nel-lab-audit/0.1"
 MAX_REDIRECTS = 5
+TIMEOUT_S = 10.0
 DEFAULT_LONG_MAX_AGE_DAYS = 30
 FLEET_WORKERS = 8
 
@@ -127,7 +128,7 @@ def parse_headers_file(text: str) -> dict[str, str]:
     return headers
 
 
-def fetch_headers(url: str, timeout: float = 10.0) -> tuple[str, dict[str, str]]:
+def fetch_headers(url: str) -> tuple[str, dict[str, str]]:
     """One GET with a fixed user agent, following at most five redirects.
 
     Returns the final URL and its response headers. Raises
@@ -140,20 +141,17 @@ def fetch_headers(url: str, timeout: float = 10.0) -> tuple[str, dict[str, str]]
         host = parts.hostname
         port = parts.port or (443 if parts.scheme == "https" else 80)
 
-        try:
-            socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
-        except OSError as exc:
-            raise AuditNetworkError("dns", f"{host}: {exc}") from None
-
         if parts.scheme == "https":
             connection = http.client.HTTPSConnection(
-                host, port, timeout=timeout,
+                host, port, timeout=TIMEOUT_S,
                 context=ssl.create_default_context())
         else:
-            connection = http.client.HTTPConnection(host, port, timeout=timeout)
+            connection = http.client.HTTPConnection(host, port, timeout=TIMEOUT_S)
         try:
             try:
                 connection.connect()
+            except socket.gaierror as exc:  # the name did not resolve
+                raise AuditNetworkError("dns", f"{host}: {exc}") from None
             except OSError as exc:
                 raise AuditNetworkError("connect", f"{host}:{port}: {exc}") from None
             path = parts.path or "/"
@@ -178,8 +176,8 @@ def fetch_headers(url: str, timeout: float = 10.0) -> tuple[str, dict[str, str]]
 
 
 def audit_url(url: str, long_max_age_days: int = DEFAULT_LONG_MAX_AGE_DAYS,
-              fleet_mode: bool = False, timeout: float = 10.0) -> dict:
-    final_url, headers = fetch_headers(url, timeout=timeout)
+              fleet_mode: bool = False) -> dict:
+    final_url, headers = fetch_headers(url)
     parts = urlsplit(final_url)
     findings = analyze_headers(headers, host=parts.hostname or "",
                                scheme=parts.scheme, fleet_mode=fleet_mode,
@@ -193,14 +191,13 @@ def audit_url(url: str, long_max_age_days: int = DEFAULT_LONG_MAX_AGE_DAYS,
 
 
 def audit_fleet(targets: list[str],
-                long_max_age_days: int = DEFAULT_LONG_MAX_AGE_DAYS,
-                timeout: float = 10.0) -> list[dict]:
+                long_max_age_days: int = DEFAULT_LONG_MAX_AGE_DAYS) -> list[dict]:
     """Audit many targets concurrently; per-target failures become entries."""
 
     def one(target: str) -> dict:
         try:
             return audit_url(target, long_max_age_days=long_max_age_days,
-                             fleet_mode=True, timeout=timeout)
+                             fleet_mode=True)
         except AuditNetworkError as exc:
             return {"target": target, "error": {"phase": exc.phase,
                                                 "message": str(exc)}}

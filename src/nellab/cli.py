@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .audit import (
@@ -22,10 +23,9 @@ from .audit import (
     render_findings,
 )
 from .collector import Collector, CollectorConfig
-from .headers import ParseError
 from .server import make_server
-from .sim import ConfigError, builtin_scenarios, check_types, config_from_dict, \
-    run_scenario
+from .sim import ConfigError, builtin_scenarios, check_types, collector_from_dict, \
+    config_from_dict, run_scenario
 
 SEED_ENV_VAR = "NEL_LAB_SEED"
 
@@ -90,7 +90,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     elif Path(args.target).is_file():
         try:
             config = config_from_dict(json.loads(Path(args.target).read_text()))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: bad scenario config {args.target}: {exc}",
                   file=sys.stderr)
             return 2
@@ -118,15 +118,13 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
+    overrides = {name: value for name in ("listen", "ip_mode", "log_path")
+                 if (value := getattr(args, name)) is not None}
     try:
-        data = json.loads(Path(args.config).read_text())
-        for member in ("listen", "ip_mode", "log_path"):
-            if getattr(args, member) is not None:
-                data[member] = getattr(args, member)
-        config = CollectorConfig.from_dict(data)
+        config = collector_from_dict(json.loads(Path(args.config).read_text()))
+        config = replace(config, **overrides)
         check_types(config, CollectorConfig, "collector")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ParseError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: bad collector config {args.config}: {exc}", file=sys.stderr)
         return 2
 

@@ -28,12 +28,7 @@ from .headers import (
     NelPolicyHeader,
     NelReport,
     ParseError,
-    Removal,
-    group_from_dict,
-    group_to_dict,
     parse_report_batch,
-    policy_from_dict,
-    policy_to_dict,
     report_to_dict,
     serialize_nel_header,
     serialize_report_to_header,
@@ -55,7 +50,8 @@ class RejectError(Exception):
 
 @dataclass
 class CollectorConfig:
-    """Operating configuration for one collector instance."""
+    """Operating configuration for one collector instance; its JSON document
+    is read and written by ``nellab.sim.collector_from_dict``/``collector_to_dict``."""
 
     listen: str = "127.0.0.1:9390"
     ip_mode: Literal["volatile", "truncate", "full"] = "volatile"
@@ -69,58 +65,6 @@ class CollectorConfig:
     def __post_init__(self):
         if (self.emit_nel is None) != (not self.emit_report_to):
             raise ValueError("emit_nel_headers needs both a policy and groups")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CollectorConfig":
-        """Load a config document; unknown members raise ``TypeError``."""
-        data = {**data}
-        retention = data.pop("retention", None)
-        if retention == "infinite":
-            retention = None
-        elif retention is not None and (type(retention) is not int or retention < 0):
-            raise ValueError(f"retention must be seconds or \"infinite\": {retention!r}")
-
-        emit_nel = None
-        emit_report_to = None
-        emit = data.pop("emit_nel_headers", None)
-        if emit is not None:
-            for member in ("nel", "report_to"):
-                if not isinstance(emit, dict) or member not in emit:
-                    raise ValueError(
-                        f"emit_nel_headers must be a JSON object with {member!r}")
-            try:
-                emit_nel = policy_from_dict(emit["nel"])
-            except ParseError as exc:
-                raise ParseError(f"emit_nel_headers.nel: {exc}") from None
-            if isinstance(emit_nel, Removal):
-                raise ValueError("emit_nel_headers must carry a storable policy")
-            groups = emit["report_to"]
-            try:
-                emit_report_to = [group_from_dict(g) for g in
-                                  (groups if isinstance(groups, list) else [groups])]
-            except ParseError as exc:
-                raise ParseError(f"emit_nel_headers.report_to: {exc}") from None
-
-        return cls(**data, retention_seconds=retention, emit_nel=emit_nel,
-                   emit_report_to=emit_report_to)
-
-    def to_dict(self) -> dict:
-        data: dict = {
-            "listen": self.listen,
-            "ip_mode": self.ip_mode,
-            "strip_url_query": self.strip_url_query,
-            "drop_captured_headers": self.drop_captured_headers,
-            "retention": ("infinite" if self.retention_seconds is None
-                          else self.retention_seconds),
-        }
-        if self.emit_nel is not None:
-            data["emit_nel_headers"] = {
-                "nel": policy_to_dict(self.emit_nel),
-                "report_to": [group_to_dict(g) for g in self.emit_report_to or []],
-            }
-        if self.log_path is not None:
-            data["log_path"] = self.log_path
-        return data
 
 
 def minimize(report: NelReport, config: CollectorConfig) -> NelReport:

@@ -8,8 +8,7 @@ that equal their defaults; parsing fills the defaults back in, so
 serialize/parse round-trips are exact.
 
 Each shape (NEL policy, Report-To group, report) has one dict-level pair,
-``*_to_dict``/``*_from_dict``; the string codecs only wrap them in JSON, and
-the collector config uses them directly.
+``*_to_dict``/``*_from_dict``; the string codecs only wrap them in JSON.
 """
 
 from __future__ import annotations
@@ -28,17 +27,8 @@ REPORT_PHASES = ("dns", "connection", "application")
 
 
 class ParseError(ValueError):
-    """Raised when a header value or report batch is malformed.
-
-    ``index`` is set when the error is attributable to one element of a
-    report batch.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        if index is not None:
-            message = f"element {index}: {message}"
-        super().__init__(message)
-        self.index = index
+    """Raised when a header value or report batch is malformed; an error in
+    one element of a batch starts with ``element <index>: ``."""
 
 
 class Removal:
@@ -149,18 +139,18 @@ def _check_size(raw: str) -> None:
 _REQUIRED = object()
 
 
-def _member(obj: dict, name: str, kind, default=_REQUIRED, index: int | None = None):
+def _member(obj: dict, name: str, kind, default=_REQUIRED):
     """Fetch and type-check one JSON member; bool is never a number.
 
-    A member without a ``default`` is required. Errors carry ``index``.
+    A member without a ``default`` is required.
     """
     if name not in obj:
         if default is _REQUIRED:
-            raise ParseError(f"missing required member {name!r}", index)
+            raise ParseError(f"missing required member {name!r}")
         return default
     value = obj[name]
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ParseError(f"member {name!r} has wrong type", index)
+        raise ParseError(f"member {name!r} has wrong type")
     return value
 
 
@@ -345,42 +335,42 @@ def report_to_dict(report: NelReport) -> dict:
     }
 
 
-def report_from_dict(obj, index: int) -> NelReport:
+def report_from_dict(obj) -> NelReport:
     """Validate one report object, the inverse of :func:`report_to_dict`.
 
-    Every member is required; errors carry ``index``, the batch position.
+    Every member is required.
     """
     if not isinstance(obj, dict):
-        raise ParseError("report must be a JSON object", index)
-    age = _member(obj, "age", int, index=index)
+        raise ParseError("report must be a JSON object")
+    age = _member(obj, "age", int)
     if age < 0:
-        raise ParseError("age must be non-negative", index)
-    rtype = _member(obj, "type", str, index=index)
+        raise ParseError("age must be non-negative")
+    rtype = _member(obj, "type", str)
     if rtype != "network-error":
-        raise ParseError(f"unsupported report type {rtype!r}", index)
-    url = _member(obj, "url", str, index=index)
-    body = _member(obj, "body", dict, index=index)
+        raise ParseError(f"unsupported report type {rtype!r}")
+    url = _member(obj, "url", str)
+    body = _member(obj, "body", dict)
 
-    sampling_fraction = _member(body, "sampling_fraction", (int, float), index=index)
-    referrer = _member(body, "referrer", str, index=index)
-    server_ip = _member(body, "server_ip", str, index=index)
-    protocol = _member(body, "protocol", str, index=index)
-    method = _member(body, "method", str, index=index)
-    request_headers = _member(body, "request_headers", dict, index=index)
-    response_headers = _member(body, "response_headers", dict, index=index)
-    status_code = _member(body, "status_code", int, index=index)
-    elapsed_time = _member(body, "elapsed_time", int, index=index)
-    phase = _member(body, "phase", str, index=index)
-    error_type = _member(body, "type", str, index=index)
+    sampling_fraction = _member(body, "sampling_fraction", (int, float))
+    referrer = _member(body, "referrer", str)
+    server_ip = _member(body, "server_ip", str)
+    protocol = _member(body, "protocol", str)
+    method = _member(body, "method", str)
+    request_headers = _member(body, "request_headers", dict)
+    response_headers = _member(body, "response_headers", dict)
+    status_code = _member(body, "status_code", int)
+    elapsed_time = _member(body, "elapsed_time", int)
+    phase = _member(body, "phase", str)
+    error_type = _member(body, "type", str)
     if not 0.0 <= sampling_fraction <= 1.0:
-        raise ParseError("sampling_fraction outside [0, 1]", index)
+        raise ParseError("sampling_fraction outside [0, 1]")
     if phase not in REPORT_PHASES:
-        raise ParseError(f"unknown phase {phase!r}", index)
+        raise ParseError(f"unknown phase {phase!r}")
     for name, headers in (("request_headers", request_headers),
                           ("response_headers", response_headers)):
         if not all(isinstance(k, str) and isinstance(v, str)
                    for k, v in headers.items()):
-            raise ParseError(f"member {name!r} must map names to values", index)
+            raise ParseError(f"member {name!r} must map names to values")
 
     return NelReport(age=age, url=url, body=ReportBody(
         float(sampling_fraction), referrer, server_ip, protocol, method,
@@ -407,4 +397,10 @@ def parse_report_batch(data: bytes) -> list[NelReport]:
         raise ParseError(f"invalid JSON body: {exc}") from None
     if not isinstance(parsed, list):
         raise ParseError("report batch must be a JSON array")
-    return [report_from_dict(obj, i) for i, obj in enumerate(parsed)]
+    reports: list[NelReport] = []
+    try:
+        for obj in parsed:
+            reports.append(report_from_dict(obj))
+    except ParseError as exc:
+        raise ParseError(f"element {len(reports)}: {exc}") from None
+    return reports

@@ -20,17 +20,21 @@ to the HTTP service.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from functools import cache, partial
+from itertools import groupby
+from operator import attrgetter
 from typing import Literal, NewType, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
 from .collector import Collector, CollectorConfig, RejectError, StoredRecord
-from .headers import Endpoint, EndpointGroup, NelPolicyHeader, serialize_nel_header, \
-    serialize_report_to_header
+from .headers import Endpoint, EndpointGroup, NelPolicyHeader, ParseError, Removal, \
+    group_from_dict, group_to_dict, policy_from_dict, policy_to_dict, \
+    serialize_nel_header, serialize_report_to_header
 from .policy_store import PolicyStore
 from .report_engine import ReferrerMode, ReportEngine, RequestOutcome, \
     TransportResult, UNREACHABLE
@@ -52,7 +56,7 @@ Millis = NewType("Millis", int)
 
 
 class ConfigError(ValueError):
-    """A scenario config entry is invalid; the message names the entry."""
+    """A scenario or collector config entry is invalid; the message names the entry."""
 
 
 @dataclass
@@ -200,7 +204,28 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     data = asdict(replace(config, collectors={}))
     for server in data["servers"].values():
         server["down"] = [list(interval) for interval in server["down"]]
-    data["collectors"] = {host: c.to_dict() for host, c in config.collectors.items()}
+    data["collectors"] = {host: collector_to_dict(c)
+                          for host, c in config.collectors.items()}
+    return data
+
+
+def collector_to_dict(config: CollectorConfig) -> dict:
+    """A JSON-ready collector document; the inverse of :func:`collector_from_dict`."""
+    data: dict = {
+        "listen": config.listen,
+        "ip_mode": config.ip_mode,
+        "strip_url_query": config.strip_url_query,
+        "drop_captured_headers": config.drop_captured_headers,
+        "retention": ("infinite" if config.retention_seconds is None
+                      else config.retention_seconds),
+    }
+    if config.emit_nel is not None:
+        data["emit_nel_headers"] = {
+            "nel": policy_to_dict(config.emit_nel),
+            "report_to": [group_to_dict(g) for g in config.emit_report_to or []],
+        }
+    if config.log_path is not None:
+        data["log_path"] = config.log_path
     return data
 
 
@@ -283,12 +308,51 @@ def _load_all(cls, entries: list, where: str) -> list:
         return [_load(cls, entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
 
 
+def collector_from_dict(data, where: str = "collector") -> CollectorConfig:
+    """Load a collector document, named ``where`` in errors; the inverse of
+    :func:`collector_to_dict`.
+
+    A document that is not an object, an unknown member, a bad ``retention``
+    or a malformed ``emit_nel_headers`` raises :class:`ConfigError`;
+    :func:`check_types` checks the other members.
+    """
+    data = dict(_checked(data, dict, where))
+    retention = data.pop("retention", None)
+    emit = data.pop("emit_nel_headers", None)
+    emit_nel = emit_report_to = None
+    try:
+        if retention == "infinite":
+            retention = None
+        elif retention is not None and (type(retention) is not int or retention < 0):
+            raise ValueError(f"retention must be seconds or \"infinite\": {retention!r}")
+        if emit is not None:
+            for member in ("nel", "report_to"):
+                if not isinstance(emit, dict) or member not in emit:
+                    raise ValueError(
+                        f"emit_nel_headers must be a JSON object with {member!r}")
+            member = "nel"
+            try:
+                emit_nel = policy_from_dict(emit["nel"])
+                if isinstance(emit_nel, Removal):
+                    raise ValueError("emit_nel_headers must carry a storable policy")
+                member = "report_to"
+                groups = emit["report_to"]
+                emit_report_to = [group_from_dict(g) for g in
+                                  (groups if isinstance(groups, list) else [groups])]
+            except ParseError as exc:
+                raise ValueError(f"emit_nel_headers.{member}: {exc}") from None
+        return CollectorConfig(**data, retention_seconds=retention, emit_nel=emit_nel,
+                               emit_report_to=emit_report_to)
+    except (TypeError, ValueError) as exc:  # TypeError: a member the dataclass lacks
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Load a scenario document; the inverse of :func:`config_to_dict`.
 
     Omitted members take the dataclass defaults. An unknown or missing
     member, a container this walks that has the wrong type, or a collector
-    config ``CollectorConfig.from_dict`` refuses raises :class:`ConfigError`
+    document :func:`collector_from_dict` refuses raises :class:`ConfigError`
     naming the entry; :func:`validate_config` checks the rest.
     """
     config = _load(ScenarioConfig, data, "scenario")
@@ -296,26 +360,15 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                       for host, s in config.servers.items()}
     for host, server in config.servers.items():
         where = f"scenario.servers[{host!r}]"
-        try:
-            server.down = [tuple(interval) for interval in server.down]
-        except TypeError:
-            for i, interval in enumerate(server.down):
-                _checked(interval, tuple, f"{where}.down[{i}]")
-            raise
+        server.down = [tuple(_checked(interval, tuple, f"{where}.down[{i}]"))
+                       for i, interval in enumerate(server.down)]
         server.paths = {path: _load(PathSpec, p, f"{where}.paths[{path!r}]")
                         for path, p in server.paths.items()}
     for name, cls in (("agents", AgentSpec), ("dns_mutations", DnsMutation),
                       ("mitm_windows", MitmWindow), ("visits", Visit)):
         setattr(config, name, _load_all(cls, getattr(config, name), f"scenario.{name}"))
-    collectors = {}
-    for host, c in config.collectors.items():
-        try:
-            collectors[host] = CollectorConfig.from_dict(c)
-        except (TypeError, ValueError) as exc:
-            where = f"scenario.collectors[{host!r}]"
-            _checked(c, dict, where)
-            raise ConfigError(f"{where}: {exc}") from None
-    config.collectors = collectors
+    config.collectors = {host: collector_from_dict(c, f"scenario.collectors[{host!r}]")
+                         for host, c in config.collectors.items()}
     return config
 
 
@@ -337,6 +390,12 @@ def validate_config(config: ScenarioConfig) -> None:
             raise ConfigError(f"visit at {visit.at} to {visit.url!r} is out of order")
         if visit.agent not in known:
             raise ConfigError(f"visit at {visit.at}: unknown agent {visit.agent!r}")
+        for label, url in (("URL", visit.url), ("referrer", visit.referrer)):
+            try:
+                urlsplit(url)
+            except ValueError as exc:
+                raise ConfigError(f"visit at {visit.at}: {label} {url!r} "
+                                  f"does not parse: {exc}") from None
         host = urlsplit(visit.url).hostname
         if not host:
             raise ConfigError(f"visit at {visit.at}: URL {visit.url!r} has no host")
@@ -524,6 +583,13 @@ class _World:
 
     # -- deliveries ---------------------------------------------------------
 
+    def _drain_before(self, end: int) -> None:
+        """Deliver, in time order, every attempt due before ``end``."""
+        while (due := min((t for agent in self.agents.values()
+                           if (t := agent.engine.next_due()) is not None),
+                          default=end)) < end:
+            self._drain(due)
+
     def _drain(self, now: int) -> None:
         for agent in self.agents.values():
             while attempts := agent.engine.deliver_due(now, agent.transport):
@@ -536,30 +602,14 @@ class _World:
     # -- main loop --------------------------------------------------------------
 
     def run(self) -> ScenarioTrace:
-        timeline = sorted(
-            [(m.at, 0, i, m) for i, m in enumerate(self.config.dns_mutations)]
-            + [(v.at, 1, i, v) for i, v in enumerate(self.config.visits)],
-            key=lambda entry: entry[:3])
-
-        horizon = (max((t[0] for t in timeline), default=0)) + DRAIN_WINDOW_MS
-        position = 0
-        while True:
-            next_config = timeline[position][0] if position < len(timeline) else None
-            next_task = min(
-                (due for agent in self.agents.values()
-                 if (due := agent.engine.next_due()) is not None),
-                default=None)
-            if next_config is None and next_task is None:
-                break
-            if next_task is not None and (next_config is None
-                                          or next_task < next_config):
-                if next_task > horizon:
-                    break
-                self._drain(next_task)
-                continue
-            now = next_config
-            while position < len(timeline) and timeline[position][0] == now:
-                entry = timeline[position][3]
+        # Both lists are in time order and merge is stable, so DNS mutations
+        # run before visits at equal times.
+        timeline = heapq.merge(self.config.dns_mutations, self.config.visits,
+                               key=attrgetter("at"))
+        now = 0
+        for now, entries in groupby(timeline, key=attrgetter("at")):
+            self._drain_before(now)
+            for entry in entries:
                 if isinstance(entry, Visit):
                     self._visit(entry)
                 else:
@@ -567,9 +617,8 @@ class _World:
                     self.events.append(TraceEvent("dns_change", now, {
                         "host": entry.host, "ip": entry.ip,
                     }))
-                position += 1
             self._drain(now)
-
+        self._drain_before(now + DRAIN_WINDOW_MS + 1)
         return ScenarioTrace(self.config.name, self.config.seed, self.events)
 
 

@@ -18,6 +18,7 @@ from nellab.audit import (
 )
 from nellab.cli import main
 from nellab.collector import CollectorConfig
+from nellab.sim import collector_from_dict
 
 EMIT = {
     "emit_nel_headers": {
@@ -259,7 +260,7 @@ class TestAuditCommand:
         assert main(["audit", "--headers-file", "/nonexistent/h.txt"]) == 2
 
     def test_live_audit_against_local_collector(self, http_collector, capsys):
-        _, base_url = http_collector(CollectorConfig.from_dict(EMIT))
+        _, base_url = http_collector(collector_from_dict(EMIT))
         assert main(["audit", base_url, "--json"]) == 0
         result = json.loads(capsys.readouterr().out)
         found = {f["code"] for f in result["findings"]}
@@ -284,7 +285,7 @@ class TestAuditCommand:
         assert "connect" in capsys.readouterr().err
 
     def test_fleet_mode(self, http_collector, tmp_path, capsys):
-        _, with_nel = http_collector(CollectorConfig.from_dict(EMIT))
+        _, with_nel = http_collector(collector_from_dict(EMIT))
         _, without_nel = http_collector(CollectorConfig())
         fleet = tmp_path / "targets.txt"
         fleet.write_text(f"{with_nel}\n# comment\n{without_nel}\n")
@@ -350,6 +351,26 @@ class TestCollectCommand:
         assert main(["collect", "--config", str(path), *flags]) == 2
         assert ("collector.ip_mode must be one of 'volatile', 'truncate', 'full', "
                 f"got {value!r}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", ["[]", "null", '"x"'])
+    @pytest.mark.parametrize("flags", [[], ["--ip-mode", "full"]])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, document, flags):
+        path = tmp_path / "collector.json"
+        path.write_text(document)
+        assert main(["collect", "--config", str(path), *flags]) == 2
+        assert "collector must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, member", [
+        ({"retention_seconds": 5}, "retention_seconds"),
+        ({"emit_nel": {}}, "emit_nel"),
+    ])
+    def test_runtime_field_name_is_not_a_member(self, tmp_path, capsys, document,
+                                                member):
+        path = tmp_path / "collector.json"
+        path.write_text(json.dumps(document))
+        assert main(["collect", "--config", str(path)]) == 2
+        assert f"got multiple values for keyword argument '{member}'" in \
+            capsys.readouterr().err
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["collect", "--config", "/nonexistent.json"]) == 2

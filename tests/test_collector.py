@@ -29,6 +29,7 @@ from nellab.headers import (
     serialize_report_batch,
 )
 from nellab.server import PURGE_INTERVAL_MS, make_server
+from nellab.sim import ConfigError, collector_from_dict, collector_to_dict
 
 
 def fig1_nel_report(fig1_report) -> NelReport:
@@ -536,7 +537,7 @@ class TestServedRetention:
 
 class TestConfig:
     def test_emit_headers_parse_back(self):
-        config = CollectorConfig.from_dict({
+        config = collector_from_dict({
             "emit_nel_headers": {
                 "nel": {"report_to": "meta", "max_age": 3600},
                 "report_to": {"group": "meta", "max_age": 3600,
@@ -552,7 +553,7 @@ class TestConfig:
         assert Collector(CollectorConfig()).response_headers() == {}
 
     def test_round_trip(self):
-        config = CollectorConfig.from_dict({
+        config = collector_from_dict({
             "listen": "127.0.0.1:9999",
             "ip_mode": "truncate",
             "strip_url_query": False,
@@ -564,15 +565,15 @@ class TestConfig:
             },
             "log_path": "/tmp/x.ndjson",
         })
-        assert CollectorConfig.from_dict(config.to_dict()) == config
+        assert collector_from_dict(collector_to_dict(config)) == config
 
     def test_bad_retention_rejected(self):
-        with pytest.raises(ValueError):
-            CollectorConfig.from_dict({"retention": "forever"})
+        with pytest.raises(ConfigError, match="collector: retention must be seconds"):
+            collector_from_dict({"retention": "forever"})
 
     def test_removal_policy_not_servable(self):
-        with pytest.raises(ValueError):
-            CollectorConfig.from_dict({
+        with pytest.raises(ConfigError, match="must carry a storable policy"):
+            collector_from_dict({
                 "emit_nel_headers": {
                     "nel": {"report_to": "m", "max_age": 0},
                     "report_to": [{"group": "m", "max_age": 60,

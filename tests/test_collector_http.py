@@ -18,6 +18,8 @@ from nellab.headers import (
     serialize_report_batch,
 )
 
+from nellab.sim import collector_from_dict
+
 from conftest import FIG1_REPORT
 
 
@@ -64,7 +66,7 @@ def test_ingest_round_trip(http_collector):
 
 
 def test_response_carries_configured_policy_headers(http_collector):
-    _, base_url = http_collector(CollectorConfig.from_dict(EMIT))
+    _, base_url = http_collector(collector_from_dict(EMIT))
     status, headers, _ = post(base_url, fig1_batch())
     assert status == 200
     assert parse_nel_header(headers["NEL"]).report_to == "meta"
@@ -72,7 +74,7 @@ def test_response_carries_configured_policy_headers(http_collector):
 
 
 def test_get_serves_policy_headers_too(http_collector):
-    _, base_url = http_collector(CollectorConfig.from_dict(EMIT))
+    _, base_url = http_collector(collector_from_dict(EMIT))
     parts = urlsplit(base_url)
     connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
     try:
