@@ -132,7 +132,8 @@ def fetch_headers(url: str) -> tuple[str, dict[str, str]]:
     """One GET with a fixed user agent, following at most five redirects.
 
     Returns the final URL and its response headers. Raises
-    :class:`AuditNetworkError` with the failing phase named.
+    :class:`AuditNetworkError` with the failing phase named, and in the
+    http phase on a sixth redirect in a row.
     """
     for _ in range(MAX_REDIRECTS + 1):
         parts = urlsplit(url)
@@ -172,7 +173,7 @@ def fetch_headers(url: str) -> tuple[str, dict[str, str]]:
             url = urljoin(url, location)
             continue
         return url, headers
-    return url, headers
+    raise AuditNetworkError("http", f"more than {MAX_REDIRECTS} redirects (next: {url})")
 
 
 def audit_url(url: str, long_max_age_days: int = DEFAULT_LONG_MAX_AGE_DAYS,

@@ -268,31 +268,15 @@ def group_from_dict(obj) -> EndpointGroup:
 
 
 def parse_report_to_header(raw: str) -> list[EndpointGroup]:
-    """Parse a ``Report-To`` header value: comma-separated JSON group objects."""
+    """Parse a ``Report-To`` header value, read as the members of one JSON array."""
     _check_size(raw)
-    decoder = json.JSONDecoder()
-    groups: list[EndpointGroup] = []
-    pos = 0
-    length = len(raw)
-    while True:
-        while pos < length and raw[pos] in " \t":
-            pos += 1
-        if pos >= length:
-            break
-        try:
-            obj, pos = decoder.raw_decode(raw, pos)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
-        groups.append(group_from_dict(obj))
-        while pos < length and raw[pos] in " \t":
-            pos += 1
-        if pos < length:
-            if raw[pos] != ",":
-                raise ParseError(f"unexpected character at offset {pos}")
-            pos += 1
-    if not groups:
+    try:
+        objs = json.loads(f"[{raw}]")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not objs:
         raise ParseError("header value contains no groups")
-    return groups
+    return [group_from_dict(obj) for obj in objs]
 
 
 def serialize_report_to_header(groups: list[EndpointGroup]) -> str:
@@ -304,12 +288,21 @@ def serialize_report_to_header(groups: list[EndpointGroup]) -> str:
 # -- network-error report -----------------------------------------------------------
 
 
+def strip_credentials(url: str) -> str:
+    """``url`` without username and password; a URL without ``@`` is returned as is."""
+    if "@" not in url:
+        return url
+    netloc = urlsplit(url).netloc
+    return url.replace(netloc, netloc.rpartition("@")[2], 1)
+
+
 def strip_query(url: str) -> str:
-    """``url`` without its query and fragment; an empty URL stays empty."""
+    """``url`` without its credentials, query and fragment; an empty URL stays empty."""
     if not url:
         return url
     parts = urlsplit(url)
-    return urlunsplit((parts.scheme, parts.netloc, parts.path, "", ""))
+    return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path,
+                       "", ""))
 
 
 def report_to_dict(report: NelReport) -> dict:

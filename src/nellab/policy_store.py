@@ -124,12 +124,13 @@ class PolicyStore:
 
     # -- queries ------------------------------------------------------------
 
-    def lookup(self, host: str, now: int) -> tuple[StoredPolicy, str, bool] | None:
+    def lookup(self, host: str, now: int) -> StoredPolicy | None:
         """Find the policy governing ``host``.
 
         Exact entry wins; otherwise the most specific unexpired superdomain
-        entry with ``include_subdomains`` set. Expired entries behave as
-        absent and are evicted on the way.
+        entry with ``include_subdomains`` set, whose ``host`` then differs
+        from the lowercased query. Expired entries behave as absent and are
+        evicted on the way.
         """
         host = host.lower()
         entry = self._entries.get(host)
@@ -137,7 +138,7 @@ class PolicyStore:
             if entry.expires_at <= now:
                 del self._entries[host]
             else:
-                return entry, host, False
+                return entry
         for sup in superdomains(host):
             entry = self._entries.get(sup)
             if entry is None:
@@ -146,7 +147,7 @@ class PolicyStore:
                 del self._entries[sup]
                 continue
             if entry.policy.include_subdomains:
-                return entry, sup, True
+                return entry
         return None
 
     # -- mutation -----------------------------------------------------------

@@ -26,6 +26,7 @@ from .headers import (
     REPORT_PHASES,
     ReportBody,
     serialize_report_batch,
+    strip_credentials,
     strip_query,
 )
 from .policy_store import PolicyStore
@@ -71,15 +72,11 @@ class RequestOutcome:
 class TransportResult:
     """What the transport oracle observed for one upload."""
 
-    kind: str  # delivered | unreachable | http_error
+    result: str  # delivered | unreachable | http_error
     status_code: int | None = None
-    response_headers: dict[str, str] | None = None
-
-    @property
-    def delivered(self) -> bool:
-        return self.kind == "delivered"
 
 
+DELIVERED = TransportResult("delivered", status_code=200)
 UNREACHABLE = TransportResult("unreachable")
 
 Transport = Callable[[str, bytes, int], TransportResult]
@@ -102,19 +99,6 @@ class DeliveryTask:
     seq: int = 0
 
 
-@dataclass
-class DeliveryAttempt:
-    """The record of one upload attempt (one batch, one endpoint)."""
-
-    at: int
-    endpoint: str
-    group: str
-    result: str
-    status_code: int | None
-    report_count: int
-    response_headers: dict[str, str] | None = None
-
-
 ReferrerMode = Literal["origin-only", "strip-path", "full"]
 
 
@@ -122,15 +106,17 @@ def apply_referrer_restriction(referrer: str, mode: ReferrerMode = "origin-only"
     """Reduce a referrer URL before it enters a report body.
 
     ``origin-only`` keeps scheme and host, ``strip-path`` keeps the path but
-    drops query and fragment, ``full`` passes the value through. Any other
-    mode is read as ``origin-only``.
+    drops query and fragment, ``full`` passes the value through. No mode
+    keeps URL credentials. Any other mode is read as ``origin-only``.
     """
-    if not referrer or mode == "full":
+    if not referrer:
         return referrer
+    if mode == "full":
+        return strip_credentials(referrer)
     if mode == "strip-path":
         return strip_query(referrer)
     parts = urlsplit(referrer)
-    return f"{parts.scheme}://{parts.netloc}/"
+    return f"{parts.scheme}://{parts.netloc.rpartition('@')[2]}/"
 
 
 def capture_headers(outcome: RequestOutcome,
@@ -150,8 +136,9 @@ class ReportEngine:
     """Report sampling, queueing, and delivery for one browser agent.
 
     ``sink``, when given, receives ``(kind, at, data)`` engine events:
-    ``report_queued``, ``meta_report_queued``, and ``delivery_attempt``.
-    Each ``data`` dict is new, and the sink may keep or change it. With
+    ``report_queued``, ``meta_report_queued``, and ``delivery_attempt``,
+    the only record of each upload. Each ``data`` dict is new, and the sink
+    may keep or change it. Reports never carry URL credentials. With
     ``strict_subdomains`` set, a policy found through a superdomain governs
     only dns-phase outcomes.
     """
@@ -176,11 +163,11 @@ class ReportEngine:
     def observe(self, outcome: RequestOutcome, now: int,
                 is_meta: bool = False) -> DeliveryTask | None:
         """Sample an outcome seen at ``now`` against its policy and queue a report."""
-        found = self.store.lookup(outcome.host, now)
-        if found is None:
+        host = outcome.host
+        stored = self.store.lookup(host, now)
+        if stored is None:
             return None
-        stored, _, via_subdomain = found
-        if via_subdomain and self.strict_subdomains and outcome.phase != "dns":
+        if self.strict_subdomains and stored.host != host and outcome.phase != "dns":
             return None
 
         policy = stored.policy
@@ -190,6 +177,7 @@ class ReportEngine:
             return None
 
         request_headers, response_headers = capture_headers(outcome, policy)
+        url = strip_credentials(outcome.url)
         body = ReportBody(
             sampling_fraction=fraction,
             referrer=apply_referrer_restriction(outcome.referrer, self.referrer_mode),
@@ -204,7 +192,7 @@ class ReportEngine:
             type=outcome.result_type,
         )
         task = DeliveryTask(
-            report=NelReport(age=0, url=outcome.url, body=body),
+            report=NelReport(age=0, url=url, body=body),
             group=stored.group,
             event_time=now,
             seq=self._seq,
@@ -213,13 +201,13 @@ class ReportEngine:
         self._tasks[task.seq] = task
         heapq.heappush(self._queue, (now, task.seq))
         event = {
-            "url": outcome.url,
+            "url": url,
             "phase": outcome.phase,
             "group": task.group.name,
             "sampling_fraction": fraction,
         }
         if is_meta:
-            event["collector"] = outcome.host
+            event["collector"] = host
         else:
             event["report_type"] = outcome.result_type
         self._emit("meta_report_queued" if is_meta else "report_queued", now, event)
@@ -227,11 +215,13 @@ class ReportEngine:
 
     # -- delivery --------------------------------------------------------------
 
-    def deliver_due(self, now: int, transport: Transport) -> list[DeliveryAttempt]:
+    def deliver_due(self, now: int, transport: Transport) -> list[TransportResult]:
         """Attempt every task due at ``now``, one batch per (group, endpoint).
 
-        Due tasks are taken in insertion order, so batch order and the
-        endpoint draws do not depend on when each task was last retried.
+        Returns the transport's result for each upload, in upload order; the
+        ``delivery_attempt`` event is the record of each attempt. Due tasks
+        are taken in insertion order, so batch order and the endpoint draws
+        do not depend on when each task was last retried.
         """
         queue = self._queue
         if not queue or queue[0][0] > now:
@@ -247,29 +237,21 @@ class ReportEngine:
             endpoint = self._choose_endpoint(task)
             batches.setdefault((task.group.name, endpoint.url), []).append(task)
 
-        attempts = []
+        results = []
         for (group_name, url), tasks in batches.items():
             for task in tasks:
                 task.report.age = max(0, now - task.event_time)
             body = serialize_report_batch([t.report for t in tasks])
             result = transport(url, body, now)
-            attempts.append(DeliveryAttempt(
-                at=now,
-                endpoint=url,
-                group=group_name,
-                result=result.kind,
-                status_code=result.status_code,
-                report_count=len(tasks),
-                response_headers=result.response_headers,
-            ))
+            results.append(result)
             self._emit("delivery_attempt", now, {
                 "endpoint": url,
                 "group": group_name,
-                "result": result.kind,
+                "result": result.result,
                 "status": result.status_code,
                 "reports": len(tasks),
             })
-            if result.delivered:
+            if result.result == "delivered":
                 for task in tasks:
                     del self._tasks[task.seq]
             else:
@@ -282,7 +264,7 @@ class ReportEngine:
                     else:
                         heapq.heappush(queue, (now + self.backoff(task.attempts),
                                                task.seq))
-        return attempts
+        return results
 
     def _choose_endpoint(self, task: DeliveryTask):
         candidates = [e for e in task.group.endpoints
@@ -309,7 +291,7 @@ class ReportEngine:
         Queued only when the collector host carries a stored policy; routed
         and sampled under that policy like any other failure outcome.
         """
-        if result.kind == "http_error":
+        if result.result == "http_error":
             phase, result_type = "application", "http.error"
             status, protocol = result.status_code or 0, "h2"
         else:

@@ -36,7 +36,7 @@ from .headers import Endpoint, EndpointGroup, NelPolicyHeader, ParseError, Remov
     group_from_dict, group_to_dict, policy_from_dict, policy_to_dict, \
     serialize_nel_header, serialize_report_to_header
 from .policy_store import PolicyStore
-from .report_engine import ReferrerMode, ReportEngine, RequestOutcome, \
+from .report_engine import DELIVERED, ReferrerMode, ReportEngine, RequestOutcome, \
     TransportResult, UNREACHABLE
 
 DAY_MS = 86_400_000
@@ -464,6 +464,9 @@ class _World:
                        for spec in config.agents}
         self.events: list[TraceEvent] = []
         self._held_stored: list[TraceEvent] = []
+        # (collector host, response headers) of delivered uploads, which _drain
+        # applies once deliver_due returns: after their delivery_attempt events.
+        self._answered: list[tuple[str, dict[str, str]]] = []
 
     # -- trace plumbing ----------------------------------------------------
 
@@ -513,8 +516,9 @@ class _World:
         except RejectError as exc:
             return TransportResult("http_error", status_code=exc.status)
         headers = self._mitm_overlay(agent, host, now, collector.response_headers())
-        return TransportResult("delivered", status_code=200,
-                               response_headers=headers)
+        if headers:
+            self._answered.append((sys.intern(host), headers))
+        return DELIVERED
 
     # -- policy responses ------------------------------------------------------
 
@@ -592,12 +596,10 @@ class _World:
 
     def _drain(self, now: int) -> None:
         for agent in self.agents.values():
-            while attempts := agent.engine.deliver_due(now, agent.transport):
-                for attempt in attempts:
-                    if attempt.result == "delivered" and attempt.response_headers:
-                        host = sys.intern(urlsplit(attempt.endpoint).hostname or "")
-                        self._apply_policy_headers(
-                            agent, host, True, attempt.response_headers, now)
+            while agent.engine.deliver_due(now, agent.transport):
+                for host, headers in self._answered:
+                    self._apply_policy_headers(agent, host, True, headers, now)
+                self._answered.clear()
 
     # -- main loop --------------------------------------------------------------
 

@@ -1,11 +1,19 @@
 import dataclasses
+import os
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis.internal import charmap
 
+import nellab
 from nellab.collector import Collector, CollectorConfig
 from nellab.server import make_server
+
+# Child processes started by the tests import the same nellab as the tests,
+# also when only pytest's ``pythonpath`` setting puts it on the path.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(nellab.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
 
 
 def pytest_collection_finish(session):

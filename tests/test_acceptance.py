@@ -243,22 +243,22 @@ def test_criterion_8_policy_store_property_suite():
                     got = store.lookup(host, now)
                     assert (got is None) == (expected is None)
                     if got is not None:
-                        assert (got[1], got[2]) == expected
+                        assert (got.host, got.host != host) == expected
                 else:
                     # A lookup finds each live host's own entry and evicts
                     # each expired one, so the hosts left are the live ones.
                     mirror = {h: e for h, e in mirror.items() if e[1] > now}
                     for h in sorted({*store._entries, *mirror}):
                         got = store.lookup(h, now)
-                        assert (got is not None and got[1] == h) == (h in mirror)
+                        assert (got is not None and got.host == h) == (h in mirror)
                     assert sorted(store._entries) == sorted(mirror)
 
             # Cardinality and last-writer-wins against the model.
             live = {h: e for h, e in mirror.items() if e[1] > now}
             for host, (flagged, expires_at) in live.items():
                 found = store.lookup(host, now)
-                assert found is not None and found[1] == host
-                assert found[0].expires_at == expires_at
+                assert found is not None and found.host == host
+                assert found.expires_at == expires_at
 
             # Subdomain matching against the brute-force suffix walk.
             for _ in range(3):
@@ -268,7 +268,7 @@ def test_criterion_8_policy_store_property_suite():
                 if expected is None:
                     assert got is None
                 else:
-                    assert got is not None and (got[1], got[2]) == expected
+                    assert got is not None and (got.host, got.host != query) == expected
 
             # Removal idempotence.
             def contents():

@@ -1,11 +1,14 @@
 """Audit findings and the nel-lab command-line interface."""
 
+import contextlib
 import http.client
 import json
 import signal
 import socket
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -307,37 +310,69 @@ class TestAuditCommand:
         assert results[0]["error"]["phase"] == "connect"
 
 
+@contextlib.contextmanager
+def serving(handler):
+    """Run ``handler`` on a loopback HTTP server; yields its base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        host, port = server.server_address[:2]
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class Redirector(BaseHTTPRequestHandler):
+    """Answers ``/final`` with a NEL header; redirects ``/loop`` to itself and
+    every other path to ``/final``."""
+
+    def do_GET(self):
+        if self.path == "/final":
+            self.send_response(200)
+            self.send_header("NEL", '{"max_age":0}')
+        else:
+            self.send_response(302)
+            self.send_header("Location", "/loop" if self.path == "/loop" else "/final")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
 class TestFetchRedirects:
-    def test_follows_redirects_to_final_headers(self, http_collector):
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-        import threading
+    def test_follows_redirects_to_final_headers(self):
+        with serving(Redirector) as base:
+            final_url, headers = fetch_headers(f"{base}/start")
+        assert final_url.endswith("/final")
+        assert headers["NEL"] == '{"max_age":0}'
 
-        class Redirector(BaseHTTPRequestHandler):
+    def test_more_than_five_redirects_is_an_http_error(self, tmp_path, capsys):
+        paths = []
+
+        class Loop(Redirector):
             def do_GET(self):
-                if self.path == "/final":
-                    self.send_response(200)
-                    self.send_header("NEL", '{"max_age":0}')
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
-                else:
-                    self.send_response(302)
-                    self.send_header("Location", "/final")
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
+                paths.append(self.path)
+                super().do_GET()
 
-            def log_message(self, *args):
-                pass
+        with serving(Loop) as base:
+            with pytest.raises(AuditNetworkError) as info:
+                fetch_headers(f"{base}/loop")
+            # The first request and five redirects; the sixth is not followed.
+            assert paths == ["/loop"] * 6
+            assert info.value.phase == "http"
+            assert "more than 5 redirects" in str(info.value)
 
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Redirector)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            host, port = server.server_address[:2]
-            final_url, headers = fetch_headers(f"http://{host}:{port}/start")
-            assert final_url.endswith("/final")
-            assert headers["NEL"] == '{"max_age":0}'
-        finally:
-            server.shutdown()
-            server.server_close()
+            assert main(["audit", f"{base}/loop"]) == 3
+            assert "more than 5 redirects" in capsys.readouterr().err
+
+            fleet = tmp_path / "targets.txt"
+            fleet.write_text(f"{base}/loop\n")
+            assert main(["audit", "--fleet", str(fleet), "--json"]) == 0
+            error = json.loads(capsys.readouterr().out)[0]["error"]
+            assert error["phase"] == "http"
+            assert "more than 5 redirects" in error["message"]
 
 
 class TestCollectCommand:

@@ -14,12 +14,17 @@ from dataclasses import dataclass, field, fields
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from nellab.headers import NelReport, ReportBody, report_to_dict, serialize_report_batch
+from nellab.headers import (
+    NelReport,
+    ReportBody,
+    report_to_dict,
+    serialize_report_batch,
+    strip_credentials,
+)
 from nellab.policy_store import PolicyStore
 from nellab.report_engine import (
     BACKOFF_BASE_MS,
     MAX_ATTEMPTS,
-    DeliveryAttempt,
     ReportEngine,
     RequestOutcome,
     TransportResult,
@@ -61,10 +66,10 @@ class ListScanEngine:
         self._queue: list[ReferenceTask] = []
 
     def observe(self, outcome, now, is_meta=False):
-        found = self.store.lookup(outcome.host, now)
-        if found is None:
+        stored = self.store.lookup(outcome.host, now)
+        if stored is None:
             return None
-        stored, _, via_subdomain = found
+        via_subdomain = stored.host != outcome.host
         if via_subdomain and self.strict_subdomains and outcome.phase != "dns":
             return None
         policy = stored.policy
@@ -86,16 +91,17 @@ class ListScanEngine:
             phase=outcome.phase,
             type=outcome.result_type,
         )
-        task = ReferenceTask(report=NelReport(age=0, url=outcome.url, body=body),
+        url = strip_credentials(outcome.url)
+        task = ReferenceTask(report=NelReport(age=0, url=url, body=body),
                              group=stored.group, event_time=now, due=now)
         self._queue.append(task)
         if is_meta:
             self._sink("meta_report_queued", now, {
-                "url": outcome.url, "collector": outcome.host, "phase": outcome.phase,
+                "url": url, "collector": outcome.host, "phase": outcome.phase,
                 "group": task.group.name, "sampling_fraction": fraction})
         else:
             self._sink("report_queued", now, {
-                "url": outcome.url, "report_type": outcome.result_type,
+                "url": url, "report_type": outcome.result_type,
                 "phase": outcome.phase, "group": task.group.name,
                 "sampling_fraction": fraction})
         return task
@@ -108,21 +114,18 @@ class ListScanEngine:
         for task in due:
             endpoint = self._choose_endpoint(task)
             batches.setdefault((task.group.name, endpoint.url), []).append(task)
-        attempts = []
+        results = []
         for (group_name, url), tasks in batches.items():
             for task in tasks:
                 task.report.age = max(0, now - task.event_time)
             body = serialize_report_batch([t.report for t in tasks])
             result = transport(url, body, now)
-            attempts.append(DeliveryAttempt(
-                at=now, endpoint=url, group=group_name, result=result.kind,
-                status_code=result.status_code, report_count=len(tasks),
-                response_headers=result.response_headers))
+            results.append(result)
             self._sink("delivery_attempt", now, {
-                "endpoint": url, "group": group_name, "result": result.kind,
+                "endpoint": url, "group": group_name, "result": result.result,
                 "status": result.status_code, "reports": len(tasks)})
             for task in tasks:
-                if result.delivered:
+                if result.result == "delivered":
                     self._remove(task)
                     continue
                 task.attempts += 1
@@ -132,7 +135,7 @@ class ListScanEngine:
                     self._queue_meta_report(url, result, now)
                 else:
                     task.due = now + BACKOFF_BASE_MS * 2 ** (task.attempts - 1)
-        return attempts
+        return results
 
     def _remove(self, task):
         del self._queue[next(i for i, t in enumerate(self._queue) if t is task)]
@@ -155,7 +158,7 @@ class ListScanEngine:
         return pool[-1]
 
     def _queue_meta_report(self, upload_url, result, now):
-        if result.kind == "http_error":
+        if result.result == "http_error":
             phase, result_type = "application", "http.error"
             status, protocol = result.status_code or 0, "h2"
         else:
@@ -213,11 +216,6 @@ policies = st.tuples(
 def task_view(task):
     return (report_to_dict(task.report), task.group, task.event_time, task.attempts,
             sorted(task.failed_endpoints))
-
-
-def attempt_view(attempt):
-    return (attempt.at, attempt.endpoint, attempt.group, attempt.result,
-            attempt.status_code, attempt.report_count, attempt.response_headers)
 
 
 class EngineAgainstListScan(RuleBasedStateMachine):
@@ -289,9 +287,9 @@ class EngineAgainstListScan(RuleBasedStateMachine):
             url, state = change
             self.states[url] = state
         self.advance(step)
-        attempts = self.engine.deliver_due(self.now, self.transports[0])
+        results = self.engine.deliver_due(self.now, self.transports[0])
         expected = self.reference.deliver_due(self.now, self.transports[1])
-        assert [attempt_view(a) for a in attempts] == [attempt_view(a) for a in expected]
+        assert results == expected
 
     @invariant()
     def agree(self):

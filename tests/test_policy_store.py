@@ -21,10 +21,8 @@ class TestProcessPolicyHeaders:
     def test_install_then_lookup(self):
         store = PolicyStore()
         assert install(store, "a.example") == StoreEffect("installed")
-        stored, matched, via_sub = store.lookup("a.example", 10)
+        stored = store.lookup("a.example", 10)
         assert stored.host == "a.example"
-        assert matched == "a.example"
-        assert via_sub is False
 
     def test_removal_deletes_prior_policy(self):
         store = PolicyStore()
@@ -45,8 +43,7 @@ class TestProcessPolicyHeaders:
         assert install(store, "a.example", now=5, nel=second) == \
             StoreEffect("replaced")
         assert list(store._entries) == ["a.example"]
-        stored, _, _ = store.lookup("a.example", 10)
-        assert stored.policy.max_age == 50
+        assert store.lookup("a.example", 10).policy.max_age == 50
 
     def test_insecure_transport_ignored(self):
         store = PolicyStore()
@@ -84,8 +81,8 @@ class TestParseMemo:
         first, second = PolicyStore(), PolicyStore()
         install(first, "a.example", nel=nel)
         install(second, "b.example", nel=nel)
-        a = first.lookup("a.example", 0)[0]
-        b = second.lookup("b.example", 0)[0]
+        a = first.lookup("a.example", 0)
+        b = second.lookup("b.example", 0)
         assert a.policy is b.policy
         assert a.group is b.group
 
@@ -138,9 +135,7 @@ class TestLookupSubdomains:
     def test_subdomain_match_when_flagged(self):
         store = PolicyStore()
         install(store, "b.example", nel=NEL_SUB)
-        stored, matched, via_sub = store.lookup("a.b.example", 10)
-        assert matched == "b.example"
-        assert via_sub is True
+        assert store.lookup("a.b.example", 10).host == "b.example"
 
     def test_no_match_without_flag(self):
         store = PolicyStore()
@@ -151,24 +146,19 @@ class TestLookupSubdomains:
         store = PolicyStore()
         install(store, "b.example", nel=NEL_SUB)
         install(store, "a.b.example", nel=NEL)
-        stored, matched, via_sub = store.lookup("a.b.example", 10)
-        assert matched == "a.b.example"
-        assert via_sub is False
+        assert store.lookup("a.b.example", 10).host == "a.b.example"
 
     def test_most_specific_superdomain_wins(self):
         store = PolicyStore()
         install(store, "example", nel=NEL_SUB)
         install(store, "b.example", nel=NEL_SUB)
-        _, matched, _ = store.lookup("a.b.example", 10)
-        assert matched == "b.example"
+        assert store.lookup("a.b.example", 10).host == "b.example"
 
     def test_unflagged_closer_superdomain_does_not_shadow(self):
         store = PolicyStore()
         install(store, "example", nel=NEL_SUB)
         install(store, "b.example", nel=NEL)
-        _, matched, via_sub = store.lookup("a.b.example", 10)
-        assert matched == "example"
-        assert via_sub is True
+        assert store.lookup("a.b.example", 10).host == "example"
 
     def test_sibling_never_matches(self):
         store = PolicyStore()
@@ -280,4 +270,4 @@ def test_lookup_matches_suffix_walk_oracle(content, query):
     if result is None:
         assert oracle() is None
     else:
-        assert (result[1], result[2]) == oracle()
+        assert (result.host, result.host != query) == oracle()
