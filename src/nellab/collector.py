@@ -18,7 +18,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Literal
@@ -28,6 +28,7 @@ from .headers import (
     NelPolicyHeader,
     NelReport,
     ParseError,
+    ReportBody,
     parse_report_batch,
     report_to_dict,
     serialize_nel_header,
@@ -69,18 +70,21 @@ class CollectorConfig:
 
 def minimize(report: NelReport, config: CollectorConfig) -> NelReport:
     """Apply the configured data-minimization steps to one report; idempotent."""
-    body = replace(report.body)
-    url = report.url
+    body = report.body
+    url, referrer = report.url, body.referrer
     if config.strip_url_query:
-        url = strip_query(url)
-        body.referrer = strip_query(body.referrer)
+        url, referrer = strip_query(url), strip_query(referrer)
     if config.drop_captured_headers:
-        body.request_headers = {}
-        body.response_headers = {}
+        request_headers, response_headers = {}, {}
     else:
-        body.request_headers = dict(body.request_headers)
-        body.response_headers = dict(body.response_headers)
-    return NelReport(age=report.age, url=url, body=body)
+        request_headers = dict(body.request_headers)
+        response_headers = dict(body.response_headers)
+    return NelReport(age=report.age, url=url, body=ReportBody(
+        sampling_fraction=body.sampling_fraction, referrer=referrer,
+        server_ip=body.server_ip, protocol=body.protocol, method=body.method,
+        request_headers=request_headers, response_headers=response_headers,
+        status_code=body.status_code, elapsed_time=body.elapsed_time,
+        phase=body.phase, type=body.type))
 
 
 def persisted_ip(client_ip: str, mode: str) -> str:

@@ -29,7 +29,7 @@ from functools import cache, partial
 from itertools import groupby
 from operator import attrgetter
 from typing import Literal, NewType, Union, get_args, get_origin, get_type_hints
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 from .collector import Collector, CollectorConfig, RejectError, StoredRecord
 from .headers import Endpoint, EndpointGroup, NelPolicyHeader, ParseError, Removal, \
@@ -131,22 +131,54 @@ class ScenarioConfig:
     collectors: dict[str, CollectorConfig] = field(default_factory=dict)
 
 
-@dataclass(slots=True)
+# One tuple per key sequence of event data, shared by every event with that
+# sequence. The simulator emits fewer than ten; the cap bounds what loading
+# arbitrary trace documents can add.
+_SHARED_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
+_SHARED_KEYS_MAX = 256
+
+
 class TraceEvent:
     """One trace entry; every ``data`` value is a JSON scalar (str, int,
     float, bool or None), never a list or an object.
 
-    A run holds every event until its trace is written, so events are
-    slotted and the world passes one shared string for each value that
-    repeats (hosts, report types, phases, addresses).
+    A run holds every event until its trace is written, so an event holds
+    its data as a tuple of keys, shared by every event with the same key
+    sequence, and a tuple of values; the world passes one shared string for
+    each value that repeats (hosts, report types, phases, addresses).
+    ``data`` builds a new dict on each read, so changing it changes no event.
+    Events compare equal when ``(kind, at, data)`` do.
     """
 
-    kind: str
-    at: int
-    data: dict
+    __slots__ = ("kind", "at", "_keys", "_values")
+
+    def __init__(self, kind: str, at: int, data: dict):
+        self.kind = kind
+        self.at = at
+        keys = tuple(data)
+        shared = _SHARED_KEYS.get(keys)
+        if shared is None and len(_SHARED_KEYS) < _SHARED_KEYS_MAX:
+            shared = _SHARED_KEYS[keys] = keys
+        self._keys = shared or keys
+        self._values = tuple(data.values())
+
+    @property
+    def data(self) -> dict:
+        return dict(zip(self._keys, self._values))
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "at": self.at, **self.data}
+        """The event as its trace entry; a data key ``kind`` or ``at`` wins."""
+        entry = {"kind": self.kind, "at": self.at}
+        entry.update(zip(self._keys, self._values))
+        return entry
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceEvent):
+            return NotImplemented
+        return (self.kind, self.at, self.data) == (other.kind, other.at, other.data)
+
+    def __repr__(self) -> str:
+        return f"TraceEvent(kind={self.kind!r}, at={self.at!r}, data={self.data!r})"
 
 
 # One event's members as ``json.dumps(..., indent=2, sort_keys=True)`` lays
@@ -186,7 +218,6 @@ def trace_from_json(document: str) -> ScenarioTrace:
     data = json.loads(document)
     events = []
     for index, entry in enumerate(data["events"]):
-        entry = dict(entry)
         for member, value in entry.items():
             if isinstance(value, (list, dict)):
                 raise ValueError(f"events[{index}].{member} must be a JSON scalar")
@@ -372,6 +403,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return config
 
 
+def _split_visit_url(visit: Visit, label: str, url: str) -> SplitResult:
+    try:
+        return urlsplit(url)
+    except ValueError as exc:
+        raise ConfigError(f"visit at {visit.at}: {label} {url!r} "
+                          f"does not parse: {exc}") from None
+
+
 def validate_config(config: ScenarioConfig) -> None:
     """Raise :class:`ConfigError` naming the first offending entry."""
     check_types(config, ScenarioConfig, "scenario")
@@ -390,13 +429,8 @@ def validate_config(config: ScenarioConfig) -> None:
             raise ConfigError(f"visit at {visit.at} to {visit.url!r} is out of order")
         if visit.agent not in known:
             raise ConfigError(f"visit at {visit.at}: unknown agent {visit.agent!r}")
-        for label, url in (("URL", visit.url), ("referrer", visit.referrer)):
-            try:
-                urlsplit(url)
-            except ValueError as exc:
-                raise ConfigError(f"visit at {visit.at}: {label} {url!r} "
-                                  f"does not parse: {exc}") from None
-        host = urlsplit(visit.url).hostname
+        host = _split_visit_url(visit, "URL", visit.url).hostname
+        _split_visit_url(visit, "referrer", visit.referrer)
         if not host:
             raise ConfigError(f"visit at {visit.at}: URL {visit.url!r} has no host")
         if host not in config.dns:

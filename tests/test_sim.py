@@ -31,6 +31,8 @@ from nellab.sim import (
     ServerSpec,
     TraceEvent,
     Visit,
+    _SHARED_KEYS,
+    _SHARED_KEYS_MAX,
     _World,
     _emit_config,
     builtin_scenarios,
@@ -353,6 +355,58 @@ class TestTraceWriter:
         document["events"][1]["extra"] = value
         with pytest.raises(ValueError, match=r"events\[1\]\.extra"):
             trace_from_json(json.dumps(document))
+
+
+class TestTraceEvent:
+    DATA = {"url": "https://a.example/", "phase": "dns", "status": 0, "agent": "a"}
+
+    def test_data_is_the_dict_passed_in_in_its_order(self):
+        event = TraceEvent("report_queued", 5, self.DATA)
+        assert event.data == self.DATA
+        assert list(event.data) == list(self.DATA)
+
+    def test_changing_a_data_dict_changes_no_event(self):
+        passed = dict(self.DATA)
+        event = TraceEvent("report_queued", 5, passed)
+        written = ScenarioTrace("t", 0, [event]).to_json()
+        passed["phase"] = "application"
+        read = event.data
+        read["status"] = 200
+        read["extra"] = 1
+        assert event.data == self.DATA
+        assert ScenarioTrace("t", 0, [event]).to_json() == written
+
+    def test_equality_and_repr_follow_kind_at_and_data(self):
+        event = TraceEvent("k", 5, {"a": 1, "b": "x"})
+        assert event == TraceEvent("k", 5, {"b": "x", "a": 1})
+        assert event != TraceEvent("j", 5, {"a": 1, "b": "x"})
+        assert event != TraceEvent("k", 6, {"a": 1, "b": "x"})
+        assert event != TraceEvent("k", 5, {"a": 2, "b": "x"})
+        assert event != TraceEvent("k", 5, {"a": 1})
+        assert repr(event) == "TraceEvent(kind='k', at=5, data={'a': 1, 'b': 'x'})"
+        with pytest.raises(TypeError):
+            hash(event)
+
+    def test_events_of_one_kind_share_one_key_tuple(self):
+        trace = run_scenario(builtin_scenarios()["fig2_chain"])
+        keys = {}
+        for event in trace.events:
+            assert keys.setdefault(event.kind, event._keys) is event._keys
+        assert len(events_of(trace, "delivery_attempt")) > 1
+
+    def test_the_shared_key_table_stays_bounded(self):
+        events = [TraceEvent("k", 0, {f"key{i}": i}) for i in range(2 * _SHARED_KEYS_MAX)]
+        assert len(_SHARED_KEYS) <= _SHARED_KEYS_MAX
+        assert events[-1].data == {f"key{2 * _SHARED_KEYS_MAX - 1}": 2 * _SHARED_KEYS_MAX - 1}
+
+    @given(kind=tricky_text, at=st.integers(),
+           data=st.dictionaries(st.sampled_from(["kind", "at"]) | tricky_text,
+                                json_scalars, max_size=6))
+    def test_to_dict_is_kind_and_at_then_the_data(self, kind, at, data):
+        expected = {"kind": kind, "at": at, **data}
+        got = TraceEvent(kind, at, data).to_dict()
+        assert got == expected
+        assert list(got) == list(expected)
 
 
 # A valid document with one entry of every kind that has scalar members.
@@ -829,9 +883,10 @@ def chain_config(visits: int, sites: int = 8, agents: int = 4) -> ScenarioConfig
 
 
 def test_a_run_holds_little_more_than_its_events():
-    """Bytes still allocated after a run, per trace event: slotted events
-    that share their repeated strings hold about 350 here; un-slotted events
-    with a fresh copy of each repeated value held about 445."""
+    """Bytes still allocated after a run, per trace event: events that hold a
+    shared key tuple and a values tuple, and share their repeated strings,
+    hold about 190 here; slotted events with a data dict each held about 350,
+    and un-slotted ones with a fresh copy of each repeated value about 445."""
     config = chain_config(1_000)
     gc.collect()
     tracemalloc.start()
@@ -844,7 +899,7 @@ def test_a_run_holds_little_more_than_its_events():
         tracemalloc.stop()
     assert len(events_of(trace, "report_stored")) == 1_000
     per_event = held / len(trace.events)
-    assert per_event < 390, f"{per_event:.0f} B held per event"
+    assert per_event < 230, f"{per_event:.0f} B held per event"
 
 
 # -- complexity ----------------------------------------------------------------
