@@ -28,13 +28,15 @@ def main() -> int:
     for name, config in builtin_scenarios().items():
         config.seed = args.seed
         trace = run_scenario(config)
+        # Count before the write, which drops the events.
+        counts = Counter(event.kind for event in trace.events)
+        events = len(trace.events)
         path = out_dir / f"{name}.trace.json"
         path.write_bytes(trace.to_json_bytes())
 
-        counts = Counter(event.kind for event in trace.events)
         summary = ", ".join(f"{kind}={count}"
                             for kind, count in sorted(counts.items()))
-        print(f"{name:20s} {len(trace.events):3d} events  ({summary or 'empty'})")
+        print(f"{name:20s} {events:3d} events  ({summary or 'empty'})")
         print(f"{'':20s} -> {path}")
         if config.description:
             print(f"{'':20s}    {config.description}")

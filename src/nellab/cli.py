@@ -112,8 +112,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 2
 
     out = Path(args.out) if args.out else Path(f"{config.name}.trace.json")
+    events = len(trace.events)  # before the write, which drops the events
     out.write_bytes(trace.to_json_bytes())
-    print(f"wrote {out} ({len(trace.events)} events, seed {trace.seed})")
+    print(f"wrote {out} ({events} events, seed {trace.seed})")
     return 0
 
 

@@ -186,11 +186,27 @@ class TraceEvent:
 _encode_event = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
 
 
-@dataclass
 class ScenarioTrace:
-    name: str
-    seed: int
-    events: list[TraceEvent]
+    """A run's trace, held in one form at a time: its events until it is
+    written, and only the written document after that.
+
+    The first :meth:`to_json_bytes` drops the events and keeps the bytes.
+    Reading ``events`` after a write parses the document back and drops the
+    bytes, so the next write reflects any edit to that list.
+    """
+
+    def __init__(self, name: str, seed: int, events: list[TraceEvent]):
+        self.name = name
+        self.seed = seed
+        self._events: list[TraceEvent] | None = events
+        self._document: bytes | None = None
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        if self._events is None:
+            self._events = trace_from_json(self._document).events
+            self._document = None
+        return self._events
 
     def to_json(self) -> str:
         """The document ``json.dumps(..., indent=2, sort_keys=True)`` gives,
@@ -209,10 +225,14 @@ class ScenarioTrace:
         return "".join(parts)
 
     def to_json_bytes(self) -> bytes:
-        return self.to_json().encode("utf-8")
+        """The document as UTF-8; later calls return the same object."""
+        if self._document is None:
+            self._document = self.to_json().encode("utf-8")
+            self._events = None
+        return self._document
 
 
-def trace_from_json(document: str) -> ScenarioTrace:
+def trace_from_json(document: str | bytes) -> ScenarioTrace:
     """Load a trace document; a member that is an array or an object raises
     ``ValueError`` naming the event and the member."""
     data = json.loads(document)
@@ -655,7 +675,10 @@ class _World:
                     }))
             self._drain(now)
         self._drain_before(now + DRAIN_WINDOW_MS + 1)
-        return ScenarioTrace(self.config.name, self.config.seed, self.events)
+        # The world is cyclic garbage until the next collection; if it kept
+        # the list, writing the trace could not free the events.
+        events, self.events = self.events, []
+        return ScenarioTrace(self.config.name, self.config.seed, events)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioTrace:

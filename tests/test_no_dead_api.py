@@ -20,7 +20,6 @@ PROGRAM_DIRS = ("src", "scripts", "perfbench")
 # Names with no caller in the program, each with the reason it stays.
 ALLOWED = {
     "__version__": "package metadata, read by tools rather than called",
-    "trace_from_json": "the documented read half of the trace codec",
     "clear_browsing_data": "the user's clear-data control, for scenario actions to drive",
     # Hooks the standard library's HTTP server calls by name.
     "send_response_only": "http.server hook",
