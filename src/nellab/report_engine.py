@@ -7,8 +7,8 @@ a group's endpoints by priority and weight, retries with exponential
 backoff, and on final failure emits a meta-report about the collector when
 the collector host itself carries a stored policy.
 
-No real network I/O happens here: delivery goes through a transport oracle
-``(endpoint_url, body, now) -> TransportResult`` supplied by the caller.
+No real network I/O happens here: delivery hands each batch's reports, not
+bytes, to a transport oracle ``(url, reports, now) -> TransportResult``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .headers import (
     NelReport,
     REPORT_PHASES,
     ReportBody,
-    serialize_report_batch,
     strip_credentials,
     strip_query,
 )
@@ -79,7 +78,8 @@ class TransportResult:
 DELIVERED = TransportResult("delivered", status_code=200)
 UNREACHABLE = TransportResult("unreachable")
 
-Transport = Callable[[str, bytes, int], TransportResult]
+# Reports arrive aged for ``now``; a retry ages the same objects again.
+Transport = Callable[[str, list[NelReport], int], TransportResult]
 
 
 @dataclass(eq=False)
@@ -140,7 +140,7 @@ class ReportEngine:
     the only record of each upload. Each ``data`` dict is new, and the sink
     may keep or change it. Reports never carry URL credentials. With
     ``strict_subdomains`` set, a policy found through a superdomain governs
-    only dns-phase outcomes.
+    only dns-phase outcomes. The transport encodes each upload it makes.
     """
 
     def __init__(self, store: PolicyStore, rng: random.Random,
@@ -241,8 +241,7 @@ class ReportEngine:
         for (group_name, url), tasks in batches.items():
             for task in tasks:
                 task.report.age = max(0, now - task.event_time)
-            body = serialize_report_batch([t.report for t in tasks])
-            result = transport(url, body, now)
+            result = transport(url, [t.report for t in tasks], now)
             results.append(result)
             self._emit("delivery_attempt", now, {
                 "endpoint": url,

@@ -13,9 +13,9 @@ substitution on responses within a window, which is exactly the
 capability an interception adversary needs for policy injection; no TLS
 machinery is simulated.
 
-Collectors inside the world reuse the collector-service logic against an
-in-memory transport, so minimization and persistence behave identically
-to the HTTP service.
+Collectors inside the world reuse the collector-service logic: the world's
+transport encodes each upload a collector reads, and the collector parses
+those bytes, so minimization and persistence behave as in the HTTP service.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from urllib.parse import SplitResult, urlsplit
 
 from .collector import Collector, CollectorConfig, RejectError, StoredRecord
 from .headers import Endpoint, EndpointGroup, NelPolicyHeader, ParseError, Removal, \
-    group_from_dict, group_to_dict, policy_from_dict, policy_to_dict, \
-    serialize_nel_header, serialize_report_to_header
+    NelReport, group_from_dict, group_to_dict, policy_from_dict, policy_to_dict, \
+    serialize_nel_header, serialize_report_batch, serialize_report_to_header
 from .policy_store import PolicyStore
 from .report_engine import DELIVERED, ReferrerMode, ReportEngine, RequestOutcome, \
     TransportResult, UNREACHABLE
@@ -557,7 +557,7 @@ class _World:
 
     # -- uploads (the engine's transport oracle) ------------------------------
 
-    def upload(self, agent: _Agent, url: str, body: bytes,
+    def upload(self, agent: _Agent, url: str, reports: list[NelReport],
                now: int) -> TransportResult:
         host = urlsplit(url).hostname or ""
         if not self._reachable(host, now):
@@ -566,7 +566,8 @@ class _World:
         if collector is None:
             return TransportResult("http_error", status_code=404)
         try:
-            collector.ingest(body, agent.spec.ip, agent.spec.user_agent, now)
+            collector.ingest(serialize_report_batch(reports), agent.spec.ip,
+                             agent.spec.user_agent, now)
         except RejectError as exc:
             return TransportResult("http_error", status_code=exc.status)
         headers = self._mitm_overlay(agent, host, now, collector.response_headers())

@@ -118,8 +118,7 @@ class ListScanEngine:
         for (group_name, url), tasks in batches.items():
             for task in tasks:
                 task.report.age = max(0, now - task.event_time)
-            body = serialize_report_batch([t.report for t in tasks])
-            result = transport(url, body, now)
+            result = transport(url, [t.report for t in tasks], now)
             results.append(result)
             self._sink("delivery_attempt", now, {
                 "endpoint": url, "group": group_name, "result": result.result,
@@ -177,14 +176,18 @@ class ListScanEngine:
 
 
 class ScriptedTransport:
-    """Answers each endpoint as the machine last set it; logs every call."""
+    """Answers each endpoint as the machine last set it; logs every call.
+
+    A call is logged with the body its reports encode to at call time, so
+    report ages and order stay pinned after the engine ages them again.
+    """
 
     def __init__(self, states):
         self.states = states
         self.calls = []
 
-    def __call__(self, url, body, now):
-        self.calls.append((url, body, now))
+    def __call__(self, url, reports, now):
+        self.calls.append((url, serialize_report_batch(reports), now))
         state = self.states[url]
         if state == "up":
             return TransportResult("delivered", status_code=200)

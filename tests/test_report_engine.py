@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nellab.headers import parse_report_batch
+from nellab.headers import parse_report_batch, serialize_report_batch
 from nellab.policy_store import PolicyStore
 from nellab.report_engine import (
     DELIVERED,
@@ -191,11 +191,15 @@ class TestCaptureHeaders:
 
 
 def recording_transport(script):
-    """script: endpoint url -> TransportResult or list popped per call."""
+    """script: endpoint url -> TransportResult or list popped per call.
+
+    Each call is recorded with the batch body its reports encode to at call
+    time; the engine ages the same report objects again on a retry.
+    """
     calls = []
 
-    def transport(url, body, now):
-        calls.append((now, url, body))
+    def transport(url, reports, now):
+        calls.append((now, url, serialize_report_batch(reports)))
         result = script[url]
         if isinstance(result, list):
             return result.pop(0)

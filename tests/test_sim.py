@@ -15,6 +15,7 @@ from urllib.parse import urlsplit
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nellab import headers
 from nellab.collector import CollectorConfig
 from nellab.headers import NelPolicyHeader
 from nellab.report_engine import MAX_ATTEMPTS
@@ -43,6 +44,11 @@ from nellab.sim import (
     run_scenario,
     trace_from_json,
     validate_config,
+)
+
+from test_generated_scenarios import (
+    check_no_attempt_precedes_queueing,
+    check_stores_are_delivered_reports,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -264,29 +270,15 @@ class TestDeterminism:
 
 
 class TestCausality:
+    """The generated-scenario invariants, held by every builtin too."""
+
     @pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
     def test_stores_follow_delivered_attempts(self, name):
-        trace = run_scenario(builtin_scenarios()[name])
-        delivered_hosts = []
-        for event in trace.events:
-            if event.kind == "delivery_attempt" and \
-                    event.data["result"] == "delivered":
-                delivered_hosts.append((event.at, host_of(event.data["endpoint"])))
-            if event.kind == "report_stored":
-                assert (event.at, event.data["collector"]) in delivered_hosts
+        check_stores_are_delivered_reports(run_scenario(builtin_scenarios()[name]).events)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
     def test_no_attempt_precedes_queueing(self, name):
-        trace = run_scenario(builtin_scenarios()[name])
-        queued = 0
-        in_flight = 0
-        for event in trace.events:
-            if event.kind in ("report_queued", "meta_report_queued"):
-                queued += 1
-            elif event.kind == "delivery_attempt":
-                in_flight += event.data["reports"]
-                assert queued >= 1
-        assert in_flight >= 1 or queued == 0
+        check_no_attempt_precedes_queueing(run_scenario(builtin_scenarios()[name]).events)
 
 
 class TestGoldenTraces:
@@ -759,6 +751,22 @@ class TestConfigSerialization:
             run_scenario(builtin_scenarios()[name]).to_json_bytes()
 
 
+def no_collector_config() -> ScenarioConfig:
+    """One failed visit whose report goes to a host that has a server but no
+    collector, so every upload gets a 404."""
+    return ScenarioConfig(
+        agents=[AgentSpec(name="a")],
+        dns={"x.example": "192.0.2.1", "plain.example": "192.0.2.2"},
+        servers={"x.example": ServerSpec(ip="192.0.2.1", paths={
+            "/": PathSpec(status=503, headers={
+                "NEL": '{"report_to":"g","max_age":60}',
+                "Report-To": '{"group":"g","max_age":60,'
+                             '"endpoints":[{"url":"https://plain.example/u"}]}',
+            }),
+        }), "plain.example": ServerSpec(ip="192.0.2.2")},
+        visits=[Visit(at=1_000, agent="a", url="https://x.example/")])
+
+
 class TestWorldMechanics:
     def test_insecure_server_cannot_install(self):
         config = ScenarioConfig(
@@ -786,18 +794,7 @@ class TestWorldMechanics:
         assert events_of(trace, "dns_change")[0].data["ip"] == ""
 
     def test_upload_to_a_host_without_a_collector_gets_404(self):
-        config = ScenarioConfig(
-            agents=[AgentSpec(name="a")],
-            dns={"x.example": "192.0.2.1", "plain.example": "192.0.2.2"},
-            servers={"x.example": ServerSpec(ip="192.0.2.1", paths={
-                "/": PathSpec(status=503, headers={
-                    "NEL": '{"report_to":"g","max_age":60}',
-                    "Report-To": '{"group":"g","max_age":60,'
-                                 '"endpoints":[{"url":"https://plain.example/u"}]}',
-                }),
-            }), "plain.example": ServerSpec(ip="192.0.2.2")},
-            visits=[Visit(at=1_000, agent="a", url="https://x.example/")])
-        attempts = events_of(run_scenario(config), "delivery_attempt")
+        attempts = events_of(run_scenario(no_collector_config()), "delivery_attempt")
         assert [(e.at, e.data["result"], e.data["status"]) for e in attempts] == [
             (1_000, "http_error", 404), (61_000, "http_error", 404),
             (181_000, "http_error", 404)]
@@ -993,6 +990,48 @@ def dead_collector_config(visits: int, sites: int = 4) -> ScenarioConfig:
         visits=[Visit(at=1_000 + 20 * i, agent="a",
                       url=f"https://s{i % sites}.example/{i}")
                 for i in range(visits)])
+
+
+@pytest.fixture
+def serialized_batches(monkeypatch):
+    """The report count of every batch body encoded from now on.
+
+    ``serialize_report_batch`` is replaced in every loaded ``nellab`` module
+    that binds it, so an encoding anywhere in the program is seen.
+    """
+    original = headers.serialize_report_batch
+    batches = []
+
+    def counting(reports):
+        batches.append(len(reports))
+        return original(reports)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").split(".")[0] == "nellab"
+                and module.__dict__.get("serialize_report_batch") is original):
+            monkeypatch.setattr(module, "serialize_report_batch", counting)
+    return batches
+
+
+class TestUploadEncoding:
+    """The world encodes a batch only for a collector that will read it."""
+
+    def test_an_unreachable_collector_gets_no_body(self, serialized_batches):
+        trace = run_scenario(dead_collector_config(10))
+        assert len(events_of(trace, "delivery_attempt")) == 10 * MAX_ATTEMPTS
+        assert serialized_batches == []
+
+    def test_a_host_without_a_collector_gets_no_body(self, serialized_batches):
+        attempts = events_of(run_scenario(no_collector_config()), "delivery_attempt")
+        assert [e.data["status"] for e in attempts] == [404] * MAX_ATTEMPTS
+        assert serialized_batches == []
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
+    def test_each_delivered_upload_is_encoded_once(self, name, serialized_batches):
+        trace = run_scenario(builtin_scenarios()[name])
+        assert serialized_batches == [
+            e.data["reports"] for e in events_of(trace, "delivery_attempt")
+            if e.data["result"] == "delivered"]
 
 
 def best_run_seconds(visits: int, repeats: int = 3) -> float:
