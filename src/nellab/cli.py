@@ -23,6 +23,7 @@ from .audit import (
     render_findings,
 )
 from .collector import Collector, CollectorConfig
+from .headers import decode_json
 from .server import make_server
 from .sim import ConfigError, builtin_scenarios, check_types, collector_from_dict, \
     config_from_dict, run_scenario
@@ -89,7 +90,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         config = builtins[args.target]
     elif Path(args.target).is_file():
         try:
-            config = config_from_dict(json.loads(Path(args.target).read_text()))
+            config = config_from_dict(decode_json(Path(args.target).read_text()))
         except (OSError, ValueError) as exc:
             print(f"error: bad scenario config {args.target}: {exc}",
                   file=sys.stderr)
@@ -122,7 +123,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
     overrides = {name: value for name in ("listen", "ip_mode", "log_path")
                  if (value := getattr(args, name)) is not None}
     try:
-        config = collector_from_dict(json.loads(Path(args.config).read_text()))
+        config = collector_from_dict(decode_json(Path(args.config).read_text()))
         config = replace(config, **overrides)
         check_types(config, CollectorConfig, "collector")
     except (OSError, ValueError) as exc:

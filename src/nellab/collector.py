@@ -69,7 +69,8 @@ class CollectorConfig:
 
 
 def minimize(report: NelReport, config: CollectorConfig) -> NelReport:
-    """Apply the configured data-minimization steps to one report; idempotent."""
+    """Apply the configured data-minimization steps to one report; idempotent.
+    Query stripping raises ``ValueError`` on a URL the URL parser refuses."""
     body = report.body
     url, referrer = report.url, body.referrer
     if config.strip_url_query:
@@ -79,12 +80,9 @@ def minimize(report: NelReport, config: CollectorConfig) -> NelReport:
     else:
         request_headers = dict(body.request_headers)
         response_headers = dict(body.response_headers)
-    return NelReport(age=report.age, url=url, body=ReportBody(
-        sampling_fraction=body.sampling_fraction, referrer=referrer,
-        server_ip=body.server_ip, protocol=body.protocol, method=body.method,
-        request_headers=request_headers, response_headers=response_headers,
-        status_code=body.status_code, elapsed_time=body.elapsed_time,
-        phase=body.phase, type=body.type))
+    return NelReport(age=report.age, url=url, body=ReportBody(**{
+        **vars(body), "referrer": referrer, "request_headers": request_headers,
+        "response_headers": response_headers}))
 
 
 def persisted_ip(client_ip: str, mode: str) -> str:
@@ -157,9 +155,13 @@ class Collector:
             raise RejectError(400, str(exc)) from None
 
         stored_ip = persisted_ip(client_ip, self.config.ip_mode)
-        records = [StoredRecord(received_at=now, report=minimize(report, self.config),
-                                client_ip=stored_ip, user_agent=user_agent)
-                   for report in reports]
+        records = []
+        try:
+            for report in reports:
+                records.append(StoredRecord(now, minimize(report, self.config),
+                                            stored_ip, user_agent))
+        except ValueError as exc:  # a URL that query stripping cannot parse
+            raise RejectError(400, f"element {len(records)}: {exc}") from None
         with self._lock:
             # Disk first: a failed append reaches neither the count nor the sink.
             if self.config.log_path is not None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import get_origin, get_type_hints
 from urllib.parse import urlsplit, urlunsplit
 
 REPORT_MEDIA_TYPE = "application/reports+json"
@@ -106,7 +107,9 @@ class EndpointGroup:
 
 @dataclass
 class ReportBody:
-    """The ``body`` member of a network-error report, in wire order."""
+    """The ``body`` member of a network-error report, and its only listing:
+    the codec and the collector's minimizer read its fields, whose order is
+    the wire order and whose annotations are the JSON kinds parsing accepts."""
 
     sampling_fraction: float
     referrer: str
@@ -129,6 +132,22 @@ class NelReport:
     url: str
     body: ReportBody
     type: str = "network-error"
+
+
+# Each body member and its JSON kind, in wire order, from ReportBody's
+# annotations: a float accepts any JSON number, and a dict[str, str] any object.
+_BODY_KINDS = tuple((name, (int, float) if hint is float else get_origin(hint) or hint)
+                    for name, hint in get_type_hints(ReportBody).items())
+
+
+def decode_json(raw: str | bytes, what: str = "JSON"):
+    """Decode one JSON document; every decoder failure, nesting too deep for
+    the decoder included, is a :class:`ParseError` (a ``ValueError``). The
+    header and batch parsers and the CLI's config loaders all decode here."""
+    try:
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ParseError(f"invalid {what}: {exc}") from None
 
 
 def _check_size(raw: str) -> None:
@@ -212,11 +231,7 @@ def policy_from_dict(obj) -> NelPolicyHeader | Removal:
 def parse_nel_header(raw: str) -> NelPolicyHeader | Removal:
     """Parse a ``NEL`` header value with :func:`policy_from_dict`."""
     _check_size(raw)
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    return policy_from_dict(obj)
+    return policy_from_dict(decode_json(raw))
 
 
 def serialize_nel_header(policy: NelPolicyHeader) -> str:
@@ -270,10 +285,7 @@ def group_from_dict(obj) -> EndpointGroup:
 def parse_report_to_header(raw: str) -> list[EndpointGroup]:
     """Parse a ``Report-To`` header value, read as the members of one JSON array."""
     _check_size(raw)
-    try:
-        objs = json.loads(f"[{raw}]")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    objs = decode_json(f"[{raw}]")
     if not objs:
         raise ParseError("header value contains no groups")
     return [group_from_dict(obj) for obj in objs]
@@ -306,26 +318,12 @@ def strip_query(url: str) -> str:
 
 
 def report_to_dict(report: NelReport) -> dict:
-    """The JSON object of one report, with its body members in wire order."""
-    body = report.body
-    return {
-        "age": report.age,
-        "type": report.type,
-        "url": report.url,
-        "body": {
-            "sampling_fraction": body.sampling_fraction,
-            "referrer": body.referrer,
-            "server_ip": body.server_ip,
-            "protocol": body.protocol,
-            "method": body.method,
-            "request_headers": dict(body.request_headers),
-            "response_headers": dict(body.response_headers),
-            "status_code": body.status_code,
-            "elapsed_time": body.elapsed_time,
-            "phase": body.phase,
-            "type": body.type,
-        },
-    }
+    """The JSON object of one report; its body holds ``ReportBody``'s fields
+    in their order, with copies of the header maps."""
+    body = vars(report.body).copy()
+    body["request_headers"] = dict(body["request_headers"])
+    body["response_headers"] = dict(body["response_headers"])
+    return {"age": report.age, "type": report.type, "url": report.url, "body": body}
 
 
 def report_from_dict(obj) -> NelReport:
@@ -344,31 +342,17 @@ def report_from_dict(obj) -> NelReport:
     url = _member(obj, "url", str)
     body = _member(obj, "body", dict)
 
-    sampling_fraction = _member(body, "sampling_fraction", (int, float))
-    referrer = _member(body, "referrer", str)
-    server_ip = _member(body, "server_ip", str)
-    protocol = _member(body, "protocol", str)
-    method = _member(body, "method", str)
-    request_headers = _member(body, "request_headers", dict)
-    response_headers = _member(body, "response_headers", dict)
-    status_code = _member(body, "status_code", int)
-    elapsed_time = _member(body, "elapsed_time", int)
-    phase = _member(body, "phase", str)
-    error_type = _member(body, "type", str)
-    if not 0.0 <= sampling_fraction <= 1.0:
+    parsed = ReportBody(*[_member(body, name, kind) for name, kind in _BODY_KINDS])
+    if not 0.0 <= parsed.sampling_fraction <= 1.0:
         raise ParseError("sampling_fraction outside [0, 1]")
-    if phase not in REPORT_PHASES:
-        raise ParseError(f"unknown phase {phase!r}")
-    for name, headers in (("request_headers", request_headers),
-                          ("response_headers", response_headers)):
+    if parsed.phase not in REPORT_PHASES:
+        raise ParseError(f"unknown phase {parsed.phase!r}")
+    for name in ("request_headers", "response_headers"):
         if not all(isinstance(k, str) and isinstance(v, str)
-                   for k, v in headers.items()):
+                   for k, v in getattr(parsed, name).items()):
             raise ParseError(f"member {name!r} must map names to values")
-
-    return NelReport(age=age, url=url, body=ReportBody(
-        float(sampling_fraction), referrer, server_ip, protocol, method,
-        request_headers, response_headers, status_code, elapsed_time, phase,
-        error_type))
+    parsed.sampling_fraction = float(parsed.sampling_fraction)
+    return NelReport(age=age, url=url, body=parsed)
 
 
 def serialize_report_batch(reports: list[NelReport]) -> bytes:
@@ -384,10 +368,7 @@ def serialize_report_batch(reports: list[NelReport]) -> bytes:
 
 def parse_report_batch(data: bytes) -> list[NelReport]:
     """Parse a report-batch body; the inverse of :func:`serialize_report_batch`."""
-    try:
-        parsed = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"invalid JSON body: {exc}") from None
+    parsed = decode_json(data, "JSON body")
     if not isinstance(parsed, list):
         raise ParseError("report batch must be a JSON array")
     reports: list[NelReport] = []

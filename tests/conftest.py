@@ -24,6 +24,13 @@ def pytest_collection_finish(session):
     # Hypothesis warns about storage access from plugin initialization.)
     charmap.intervals_from_codec("utf-8")
 
+# A 200 KB JSON value, under the 1 MiB body cap, nested deeper than the JSON
+# decoder follows on any supported Python (3.13's C scanner stops at 10,000).
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+# About the deepest value a header under the 16 KiB cap can hold: too deep to
+# decode up to 3.12, while 3.13 decodes it and refuses its shape instead.
+DEEP_HEADER = "[" * 8000 + "]" * 8000
+
 # The canonical example report; several suites assert against it verbatim.
 FIG1_REPORT = {
     "age": 0,

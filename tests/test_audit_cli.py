@@ -23,6 +23,8 @@ from nellab.cli import main
 from nellab.collector import CollectorConfig
 from nellab.sim import collector_from_dict
 
+from conftest import DEEP_HEADER, DEEP_JSON
+
 EMIT = {
     "emit_nel_headers": {
         "nel": {"report_to": "meta", "max_age": 3600},
@@ -94,6 +96,11 @@ class TestAnalyzeHeaders:
 
     def test_unparseable_header_still_flagged(self):
         findings = analyze_headers({"NEL": '{"max_age":'}, host="x")
+        assert codes(findings) == ["NEL_PRESENT_NO_CONSENT_SIGNAL"]
+        assert "did not parse" in findings[0].detail
+
+    def test_header_nested_too_deeply_still_flagged(self):
+        findings = analyze_headers({"NEL": DEEP_HEADER}, host="x")
         assert codes(findings) == ["NEL_PRESENT_NO_CONSENT_SIGNAL"]
         assert "did not parse" in findings[0].detail
 
@@ -409,6 +416,16 @@ class TestCollectCommand:
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["collect", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("command, kind", [
+        (["scenario"], "scenario"),
+        (["collect", "--config"], "collector"),
+    ], ids=["scenario", "collect"])
+    def test_config_nested_too_deeply_exits_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        assert main([*command, str(path)]) == 2
+        assert f"error: bad {kind} config {path}" in capsys.readouterr().err
 
     def test_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "collector.json"

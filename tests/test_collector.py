@@ -148,6 +148,19 @@ class TestIngest:
         assert collector.stored == 0
         assert log.read_bytes() == b""
 
+    def test_url_the_url_parser_refuses_rejected_by_element(self, fig1_report):
+        batches = []
+        collector = Collector(CollectorConfig(), batches.append)
+        refused = fig1_nel_report(fig1_report)
+        refused.body.referrer = "https://[x/"
+        with pytest.raises(RejectError) as excinfo:
+            collector.ingest(batch(fig1_nel_report(fig1_report), refused),
+                             "203.0.113.1", "UA", now=0)
+        assert excinfo.value.status == 400
+        assert str(excinfo.value).startswith("element 1: ")
+        assert batches == []
+        assert collector.stored == 0
+
     def test_oversized_body_rejected(self):
         batches = []
         collector = Collector(CollectorConfig(), batches.append)

@@ -20,7 +20,7 @@ from nellab.headers import (
 
 from nellab.sim import collector_from_dict
 
-from conftest import FIG1_REPORT
+from conftest import DEEP_JSON, FIG1_REPORT
 
 
 def fig1_batch() -> bytes:
@@ -92,6 +92,28 @@ def test_malformed_body_400(http_collector):
     batches = []
     collector, base_url = http_collector(CollectorConfig(), batches.append)
     status, _, _ = post(base_url, b'[{"age":')
+    assert status == 400
+    assert batches == []
+    assert collector.stored == 0
+
+
+def test_deeply_nested_body_400(http_collector):
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(), batches.append)
+    status, _, _ = post(base_url, DEEP_JSON.encode())
+    assert status == 400
+    assert batches == []
+    assert collector.stored == 0
+
+
+@pytest.mark.parametrize("member", ["url", "referrer"])
+@pytest.mark.parametrize("url", ["https://[x/", "https://[éD]/"])
+def test_url_the_url_parser_refuses_400(http_collector, member, url):
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(), batches.append)
+    [report] = json.loads(fig1_batch())
+    (report if member == "url" else report["body"])[member] = url
+    status, _, _ = post(base_url, json.dumps([report]).encode())
     assert status == 400
     assert batches == []
     assert collector.stored == 0

@@ -32,6 +32,20 @@ from nellab.headers import (
 )
 from nellab.sim import collector_from_dict, collector_to_dict
 
+from conftest import DEEP_HEADER, DEEP_JSON
+
+
+@pytest.mark.parametrize("parse", [parse_nel_header, parse_report_to_header],
+                         ids=["nel", "report-to"])
+def test_deeply_nested_header_is_a_parse_error(parse):
+    with pytest.raises(ParseError):
+        parse(DEEP_HEADER)
+
+
+def test_body_nested_too_deeply_to_decode_is_a_parse_error():
+    with pytest.raises(ParseError, match="invalid JSON body"):
+        parse_report_batch(DEEP_JSON.encode())
+
 
 class TestParseNelHeader:
     def test_removal(self):

@@ -7,6 +7,8 @@ import pytest
 from nellab.headers import MAX_HEADER_BYTES
 from nellab.policy_store import PolicyStore, StoreEffect, superdomains
 
+from conftest import DEEP_HEADER
+
 NEL = '{"report_to":"g","max_age":86400}'
 NEL_SUB = '{"report_to":"g","max_age":86400,"include_subdomains":true}'
 NEL_REMOVE = '{"report_to":"g","max_age":0}'
@@ -92,8 +94,10 @@ class TestParseMemo:
          GROUPS),
         (NEL, '{"group":"g","max_age":60,"endpoints":[{"url":"http://c.example/"}]}'),
         (NEL, GROUPS[:-1] + ',"pad":"' + "x" * MAX_HEADER_BYTES + '"}'),
+        (DEEP_HEADER, GROUPS),
+        (NEL, DEEP_HEADER),
     ], ids=["malformed-nel", "oversize-nel", "malformed-report-to",
-            "oversize-report-to"])
+            "oversize-report-to", "deep-nel", "deep-report-to"])
     def test_bad_value_ignored_on_every_call(self, nel, report_to):
         store = PolicyStore()
         for now in range(3):
