@@ -132,9 +132,18 @@ def fetch_headers(url: str) -> tuple[str, dict[str, str]]:
     """One GET with a fixed user agent, following at most five redirects.
 
     Returns the final URL and its response headers. Raises
-    :class:`AuditNetworkError` with the failing phase named, and in the
-    http phase on a sixth redirect in a row.
+    :class:`AuditNetworkError` with the failing phase named: dns for a host
+    name that does not resolve or encode, connect, and http for a URL or a
+    response that ``urllib`` or ``http.client`` refuses and on a sixth
+    redirect in a row.
     """
+    try:
+        return _get(url)
+    except (ValueError, http.client.HTTPException) as exc:  # a bad port, status line...
+        raise AuditNetworkError("http", f"{url}: {exc!r}") from None
+
+
+def _get(url: str) -> tuple[str, dict[str, str]]:
     for _ in range(MAX_REDIRECTS + 1):
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -151,7 +160,7 @@ def fetch_headers(url: str) -> tuple[str, dict[str, str]]:
         try:
             try:
                 connection.connect()
-            except socket.gaierror as exc:  # the name did not resolve
+            except (socket.gaierror, UnicodeError) as exc:  # no such name, or no IDNA form
                 raise AuditNetworkError("dns", f"{host}: {exc}") from None
             except OSError as exc:
                 raise AuditNetworkError("connect", f"{host}:{port}: {exc}") from None

@@ -163,11 +163,12 @@ def _emit_audit(results: list[dict] | dict, as_json: bool) -> None:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     if args.fleet is not None:
-        path = Path(args.fleet)
-        if not path.is_file():
-            print(f"error: fleet file {args.fleet} not found", file=sys.stderr)
+        try:
+            text = Path(args.fleet).read_text()
+        except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
+            print(f"error: cannot read fleet file {args.fleet}: {exc}", file=sys.stderr)
             return 2
-        targets = [line.strip() for line in path.read_text().splitlines()
+        targets = [line.strip() for line in text.splitlines()
                    if line.strip() and not line.strip().startswith("#")]
         results = audit_fleet(targets, long_max_age_days=args.long_max_age_days)
         _emit_audit(results, args.as_json)
@@ -175,11 +176,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     if args.headers_file is not None:
         path = Path(args.headers_file)
-        if not path.is_file():
-            print(f"error: headers file {args.headers_file} not found",
-                  file=sys.stderr)
+        try:
+            text = path.read_text()
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read headers file {path}: {exc}", file=sys.stderr)
             return 2
-        headers = parse_headers_file(path.read_text())
+        headers = parse_headers_file(text)
         host = args.host or path.name
         findings = analyze_headers(headers, host=host,
                                    long_max_age_days=args.long_max_age_days)

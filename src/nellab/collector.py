@@ -113,12 +113,8 @@ class StoredRecord:
     user_agent: str
 
     def to_line(self) -> str:
-        return json.dumps({
-            "received_at": self.received_at,
-            "report": report_to_dict(self.report),
-            "client_ip": self.client_ip,
-            "user_agent": self.user_agent,
-        }, separators=(",", ":"))
+        return json.dumps({**vars(self), "report": report_to_dict(self.report)},
+                          separators=(",", ":"))
 
 
 class Collector:

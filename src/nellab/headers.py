@@ -3,18 +3,22 @@
 Parses and serializes the ``NEL`` and ``Report-To`` HTTP header values and
 the report-batch upload body (``application/reports+json``). Parsing is
 strict about member types and value ranges but ignores unknown members, so
-the codec stays total on real-world headers. Serialization omits members
-that equal their defaults; parsing fills the defaults back in, so
-serialize/parse round-trips are exact.
+the codec stays total on real-world headers.
 
 Each shape (NEL policy, Report-To group, report) has one dict-level pair,
-``*_to_dict``/``*_from_dict``; the string codecs only wrap them in JSON.
+``*_to_dict``/``*_from_dict``; the string codecs only wrap them in JSON. The
+policy, endpoint and report-body dataclasses alone list their members: field
+order is the wire order and a field's default is the member's. Serialization
+omits exactly the members at their defaults and parsing fills them back in,
+so round trips are exact. A Report-To group's wire names, defaults and order
+differ from its dataclass's, so its pair is written out by hand.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from typing import get_origin, get_type_hints
 from urllib.parse import urlsplit, urlunsplit
 
@@ -107,9 +111,8 @@ class EndpointGroup:
 
 @dataclass
 class ReportBody:
-    """The ``body`` member of a network-error report, and its only listing:
-    the codec and the collector's minimizer read its fields, whose order is
-    the wire order and whose annotations are the JSON kinds parsing accepts."""
+    """The ``body`` member of a network-error report; the collector's
+    minimizer reads its fields too."""
 
     sampling_fraction: float
     referrer: str
@@ -134,10 +137,15 @@ class NelReport:
     type: str = "network-error"
 
 
-# Each body member and its JSON kind, in wire order, from ReportBody's
-# annotations: a float accepts any JSON number, and a dict[str, str] any object.
-_BODY_KINDS = tuple((name, (int, float) if hint is float else get_origin(hint) or hint)
-                    for name, hint in get_type_hints(ReportBody).items())
+@cache
+def _kinds(cls) -> tuple:
+    """``(name, JSON kind, default)`` per field of dataclass ``cls``, in wire
+    order, a required field's default being ``MISSING``. A float accepts any
+    JSON number, a tuple a JSON array, and a dict a JSON object."""
+    hints = {name: get_origin(hint) or hint for name, hint in get_type_hints(cls).items()}
+    json_kinds = {float: (int, float), tuple: list}
+    return tuple((f.name, json_kinds.get(hints[f.name], hints[f.name]), f.default)
+                 for f in fields(cls))
 
 
 def decode_json(raw: str | bytes, what: str = "JSON"):
@@ -155,16 +163,13 @@ def _check_size(raw: str) -> None:
         raise ParseError(f"header value exceeds {MAX_HEADER_BYTES} bytes")
 
 
-_REQUIRED = object()
-
-
-def _member(obj: dict, name: str, kind, default=_REQUIRED):
+def _member(obj: dict, name: str, kind, default=MISSING):
     """Fetch and type-check one JSON member; bool is never a number.
 
-    A member without a ``default`` is required.
+    A member whose ``default`` is ``MISSING`` is required.
     """
     if name not in obj:
-        if default is _REQUIRED:
+        if default is MISSING:
             raise ParseError(f"missing required member {name!r}")
         return default
     value = obj[name]
@@ -173,59 +178,45 @@ def _member(obj: dict, name: str, kind, default=_REQUIRED):
     return value
 
 
+def _from_dict(cls, obj: dict):
+    """Dataclass ``cls`` from its JSON object, each field fetched by
+    :func:`_member`; the dataclass's own checks fail as :class:`ParseError` too."""
+    try:
+        return cls(*[_member(obj, name, kind, default)
+                      for name, kind, default in _kinds(cls)])
+    except ValueError as exc:  # ParseError is a ValueError: its message stays
+        raise ParseError(str(exc)) from None
+
+
+def _to_dict(obj) -> dict:
+    """A dataclass's JSON object: its fields in order less those at their defaults."""
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, _, default in _kinds(type(obj))
+            if (value := getattr(obj, name)) != default}
+
+
 # -- NEL policy -----------------------------------------------------------------
 
 
-def policy_to_dict(policy: NelPolicyHeader) -> dict:
-    """The JSON object of a ``NEL`` policy, omitting members at their defaults."""
-    obj: dict = {"report_to": policy.report_to, "max_age": policy.max_age}
-    if policy.include_subdomains:
-        obj["include_subdomains"] = True
-    if policy.success_fraction != 0.0:
-        obj["success_fraction"] = policy.success_fraction
-    if policy.failure_fraction != 1.0:
-        obj["failure_fraction"] = policy.failure_fraction
-    if policy.request_headers:
-        obj["request_headers"] = list(policy.request_headers)
-    if policy.response_headers:
-        obj["response_headers"] = list(policy.response_headers)
-    return obj
+policy_to_dict = _to_dict
 
 
 def policy_from_dict(obj) -> NelPolicyHeader | Removal:
     """Validate a ``NEL`` policy object; the inverse of :func:`policy_to_dict`.
 
-    Returns :data:`REMOVAL` when the object carries ``max_age`` 0; the
-    removal signal is honored regardless of other members, since nothing is
-    going to be stored. Raises :class:`ParseError` on wrong member types,
-    fractions outside [0, 1], negative max_age, or a missing report_to when
-    max_age > 0.
+    Returns :data:`REMOVAL` for ``max_age`` 0 whatever the other members, since
+    nothing is going to be stored. Raises :class:`ParseError` on wrong member
+    types, fractions outside [0, 1], negative max_age, or a missing report_to.
     """
     if not isinstance(obj, dict):
         raise ParseError("policy must be one JSON object")
-    max_age = _member(obj, "max_age", int)
-    if max_age == 0:
+    if _member(obj, "max_age", int) == 0:
         return REMOVAL
-
-    captures = {}
+    policy = _from_dict(NelPolicyHeader, obj)
     for name in ("request_headers", "response_headers"):
-        values = _member(obj, name, list, default=())
-        if not all(isinstance(v, str) for v in values):
+        if not all(isinstance(v, str) for v in getattr(policy, name)):
             raise ParseError(f"member {name!r} must be a list of header names")
-        captures[name] = values
-
-    try:
-        return NelPolicyHeader(
-            report_to=_member(obj, "report_to", str),
-            max_age=max_age,
-            include_subdomains=_member(obj, "include_subdomains", bool, default=False),
-            success_fraction=_member(obj, "success_fraction", (int, float), default=0.0),
-            failure_fraction=_member(obj, "failure_fraction", (int, float), default=1.0),
-            request_headers=captures["request_headers"],
-            response_headers=captures["response_headers"],
-        )
-    except ValueError as exc:  # the dataclass checks max_age and the fractions
-        raise ParseError(str(exc)) from None
+    return policy
 
 
 def parse_nel_header(raw: str) -> NelPolicyHeader | Removal:
@@ -244,18 +235,10 @@ def serialize_nel_header(policy: NelPolicyHeader) -> str:
 
 def group_to_dict(group: EndpointGroup) -> dict:
     """The JSON object of a ``Report-To`` group, omitting members at their defaults."""
-    endpoints = []
-    for ep in group.endpoints:
-        entry: dict = {"url": ep.url}
-        if ep.priority != 1:
-            entry["priority"] = ep.priority
-        if ep.weight != 1:
-            entry["weight"] = ep.weight
-        endpoints.append(entry)
     obj: dict = {"group": group.name, "max_age": group.max_age}
     if group.include_subdomains:
         obj["include_subdomains"] = True
-    obj["endpoints"] = endpoints
+    obj["endpoints"] = [_to_dict(ep) for ep in group.endpoints]
     return obj
 
 
@@ -268,10 +251,7 @@ def group_from_dict(obj) -> EndpointGroup:
         for entry in _member(obj, "endpoints", list):
             if not isinstance(entry, dict):
                 raise ParseError("endpoint entry must be a JSON object")
-            endpoints.append(Endpoint(
-                url=_member(entry, "url", str),
-                priority=_member(entry, "priority", int, default=1),
-                weight=_member(entry, "weight", int, default=1)))
+            endpoints.append(_from_dict(Endpoint, entry))
         return EndpointGroup(
             name=_member(obj, "group", str, default="default"),
             max_age=_member(obj, "max_age", int),
@@ -342,7 +322,7 @@ def report_from_dict(obj) -> NelReport:
     url = _member(obj, "url", str)
     body = _member(obj, "body", dict)
 
-    parsed = ReportBody(*[_member(body, name, kind) for name, kind in _BODY_KINDS])
+    parsed = _from_dict(ReportBody, body)
     if not 0.0 <= parsed.sampling_fraction <= 1.0:
         raise ParseError("sampling_fraction outside [0, 1]")
     if parsed.phase not in REPORT_PHASES:

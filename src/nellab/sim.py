@@ -690,11 +690,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioTrace:
 # -- builtin scenarios ---------------------------------------------------------
 
 
-def _nel(report_to: str, max_age: int, success: float = 0.0, failure: float = 1.0,
-         subdomains: bool = False) -> str:
-    return serialize_nel_header(NelPolicyHeader(
-        report_to=report_to, max_age=max_age, include_subdomains=subdomains,
-        success_fraction=success, failure_fraction=failure))
+def _nel(report_to: str, max_age: int, **members) -> str:
+    return serialize_nel_header(NelPolicyHeader(report_to, max_age, **members))
 
 
 def _group(name: str, url: str, max_age: int = YEAR_S) -> str:
@@ -713,11 +710,11 @@ def _emit_config(report_to: str, url: str, max_age: int = YEAR_S,
 
 def _fig2_chain() -> ScenarioConfig:
     shared = {
-        "NEL": _nel("c", YEAR_S, success=1.0),
+        "NEL": _nel("c", YEAR_S, success_fraction=1.0),
         "Report-To": _group("c", "https://c.example/up"),
     }
     quiet = {
-        "NEL": _nel("c", YEAR_S, success=0.0),
+        "NEL": _nel("c", YEAR_S, success_fraction=0.0),
         "Report-To": _group("c", "https://c.example/up"),
     }
     return ScenarioConfig(
@@ -774,7 +771,7 @@ def _fig3_split_chain() -> ScenarioConfig:
         },
         servers={
             "a.example": ServerSpec(ip="192.0.2.10", paths={"/": PathSpec(headers={
-                "NEL": _nel("ac", YEAR_S, success=1.0),
+                "NEL": _nel("ac", YEAR_S, success_fraction=1.0),
                 "Report-To": _group("ac", "https://a.c.example/up"),
             })}),
             "b.example": ServerSpec(ip="192.0.2.11", down=[(5_000, None)],
@@ -800,7 +797,7 @@ def _fig3_split_chain() -> ScenarioConfig:
 
 
 _MITM_HEADERS = {
-    "NEL": _nel("evil", CENTURY_S, success=1.0),
+    "NEL": _nel("evil", CENTURY_S, success_fraction=1.0),
     "Report-To": _group("evil", "https://evil-collector.example/up", CENTURY_S),
 }
 
@@ -856,7 +853,7 @@ def _mitigation_scrub() -> ScenarioConfig:
 
 def _rogue_creator() -> ScenarioConfig:
     rogue_headers = {
-        "NEL": _nel("rogue", YEAR_S, success=1.0, subdomains=True),
+        "NEL": _nel("rogue", YEAR_S, success_fraction=1.0, include_subdomains=True),
         "Report-To": _group("rogue", "https://rogue-collector.example/up"),
     }
     visits = []
@@ -956,7 +953,7 @@ def _consent_gate() -> ScenarioConfig:
         servers={
             "consent.example": ServerSpec(ip="192.0.2.70", down=[(2_500, None)],
                                           paths={"/": PathSpec(headers={
-                "NEL": _nel("cg", YEAR_S, success=1.0),
+                "NEL": _nel("cg", YEAR_S, success_fraction=1.0),
                 "Report-To": _group("cg", "https://consent-collector.example/up"),
             })}),
             "consent-collector.example": ServerSpec(ip="192.0.2.71"),

@@ -15,6 +15,7 @@ import pytest
 from nellab.audit import (
     AuditNetworkError,
     analyze_headers,
+    audit_fleet,
     fetch_headers,
     parse_headers_file,
     render_findings,
@@ -269,6 +270,13 @@ class TestAuditCommand:
     def test_missing_headers_file(self, capsys):
         assert main(["audit", "--headers-file", "/nonexistent/h.txt"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--fleet", "--headers-file"])
+    def test_input_file_not_utf8_exits_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"NEL: \xff\n")
+        assert main(["audit", flag, str(path)]) == 2
+        assert "error: cannot read" in capsys.readouterr().err
+
     def test_live_audit_against_local_collector(self, http_collector, capsys):
         _, base_url = http_collector(collector_from_dict(EMIT))
         assert main(["audit", base_url, "--json"]) == 0
@@ -380,6 +388,56 @@ class TestFetchRedirects:
             error = json.loads(capsys.readouterr().out)[0]["error"]
             assert error["phase"] == "http"
             assert "more than 5 redirects" in error["message"]
+
+
+# Targets that urllib or the IDNA codec refuse before any packet is sent.
+MALFORMED_TARGETS = pytest.mark.parametrize("target, phase", [
+    ("http://x.invalid:99999/", "http"),
+    ("http://[x/", "http"),
+    ("http://a..example/", "dns"),
+    (f"http://{'a' * 70}.example/", "dns"),
+], ids=["port-out-of-range", "broken-ipv6", "empty-label", "label-over-63"])
+
+def answering(reply: bytes):
+    """A handler that answers every request with the raw bytes ``reply``."""
+
+    class Raw(Redirector):
+        def do_GET(self):
+            self.wfile.write(reply)
+            self.close_connection = True
+
+    return Raw
+
+
+class TestMalformedTarget:
+    """A target that cannot be fetched is that target's error, never an abort."""
+
+    @MALFORMED_TARGETS
+    def test_fleet_records_error(self, target, phase):
+        [result] = audit_fleet([target])
+        assert result["target"] == target
+        assert result["error"]["phase"] == phase
+
+    @pytest.mark.parametrize("reply", [
+        b"garbage\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
+        b"HTTP/1.1 200 OK\r\nX: " + b"a" * 70_000 + b"\r\n\r\n",
+    ], ids=["bad-status-line", "incomplete-read", "line-too-long"])
+    def test_fleet_records_refused_reply(self, reply):
+        """Replies that http.client refuses."""
+        with serving(answering(reply)) as base:
+            [result] = audit_fleet([f"{base}/"])
+        assert result["error"]["phase"] == "http"
+
+    @MALFORMED_TARGETS
+    def test_cli_exits_3_naming_phase(self, capsys, target, phase):
+        assert main(["audit", target]) == 3
+        assert f"network failure during {phase}" in capsys.readouterr().err
+
+    def test_cli_refused_reply_exits_3(self, capsys):
+        with serving(answering(b"garbage\r\n\r\n")) as base:
+            assert main(["audit", f"{base}/"]) == 3
+        assert "network failure during http" in capsys.readouterr().err
 
 
 class TestCollectCommand:

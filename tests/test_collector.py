@@ -41,6 +41,24 @@ def batch(*reports) -> bytes:
     return serialize_report_batch(list(reports))
 
 
+def test_stored_record_line_text():
+    body = ReportBody(sampling_fraction=1.0, referrer="https://r.example/",
+                      server_ip="192.0.2.1", protocol="http/1.1", method="GET",
+                      request_headers={}, response_headers={"ETag": "x"},
+                      status_code=200, elapsed_time=7, phase="application", type="ok")
+    record = StoredRecord(received_at=5, report=NelReport(
+        age=3, url="https://a.example/p", body=body), client_ip="203.0.113.0",
+        user_agent="UA/1.0")
+    assert record.to_line() == (
+        '{"received_at":5,"report":{"age":3,"type":"network-error",'
+        '"url":"https://a.example/p","body":{"sampling_fraction":1.0,'
+        '"referrer":"https://r.example/","server_ip":"192.0.2.1",'
+        '"protocol":"http/1.1","method":"GET","request_headers":{},'
+        '"response_headers":{"ETag":"x"},"status_code":200,"elapsed_time":7,'
+        '"phase":"application","type":"ok"}},"client_ip":"203.0.113.0",'
+        '"user_agent":"UA/1.0"}')
+
+
 class TestMinimize:
     def test_idempotent_on_example_report(self, fig1_report):
         config = CollectorConfig()
