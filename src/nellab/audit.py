@@ -23,6 +23,8 @@ MAX_REDIRECTS = 5
 TIMEOUT_S = 10.0
 DEFAULT_LONG_MAX_AGE_DAYS = 30
 FLEET_WORKERS = 8
+# fetch_headers reads a body only when it declares at most this many bytes.
+MAX_BODY_READ = 64 * 1024
 
 # Each finding code's severity and the message rendered with it.
 FINDINGS = {
@@ -171,7 +173,8 @@ def _get(url: str) -> tuple[str, dict[str, str]]:
                 connection.request("GET", path, headers={"User-Agent": USER_AGENT})
                 response = connection.getresponse()
                 headers = {name: value for name, value in response.getheaders()}
-                response.read()
+                if response.length is not None and response.length <= MAX_BODY_READ:
+                    response.read()
             except OSError as exc:
                 raise AuditNetworkError("http", f"{url}: {exc}") from None
         finally:

@@ -47,15 +47,20 @@ class _CollectorHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", "0")
         self.end_headers()
 
-    def do_POST(self):
-        collector: Collector = self.server.collector  # type: ignore[attr-defined]
-        declared = self.headers.get("Content-Length") or "0"
-        if not (declared.isascii() and declared.isdigit()):
-            # The body's extent is unknown, so the connection cannot be reused.
+    def _read_body(self) -> bytes | None:
+        """The request body, or None once an error status is sent.
+
+        Reading it before any other answer keeps the next request on a
+        keep-alive connection at the right offset. A body whose extent is
+        unknown gets 400 and a close, so it is never parsed as a request.
+        """
+        lengths = self.headers.get_all("Content-Length") or ["0"]
+        if ("Transfer-Encoding" in self.headers or len(lengths) > 1
+                or not (lengths[0].isascii() and lengths[0].isdigit())):
             self._respond(400)
             self.close_connection = True
-            return
-        length = int(declared)
+            return None
+        length = int(lengths[0])
         if length > MAX_BODY_BYTES:
             # Drain modestly oversized bodies so the client can read the 413
             # instead of dying on a broken pipe; beyond the cap, just close.
@@ -67,10 +72,14 @@ class _CollectorHandler(BaseHTTPRequestHandler):
                 remaining -= len(chunk)
             self._respond(413)
             self.close_connection = True
+            return None
+        return self.rfile.read(length)
+
+    def do_POST(self):
+        collector: Collector = self.server.collector  # type: ignore[attr-defined]
+        body = self._read_body()
+        if body is None:
             return
-        # Read the body before any other answer, so the next request on a
-        # keep-alive connection starts at the right offset.
-        body = self.rfile.read(length)
         content_type = self.headers.get("Content-Type", "")
         if not content_type.startswith(REPORT_MEDIA_TYPE):
             self._respond(400)
@@ -91,7 +100,8 @@ class _CollectorHandler(BaseHTTPRequestHandler):
         # A collector that deploys NEL itself serves its policy on every
         # response, uploads and plain fetches alike.
         collector: Collector = self.server.collector  # type: ignore[attr-defined]
-        self._respond(200, collector.response_headers())
+        if self._read_body() is not None:
+            self._respond(200, collector.response_headers())
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         logger.debug("%s %s", self.address_string(), format % args)

@@ -690,33 +690,29 @@ def run_scenario(config: ScenarioConfig) -> ScenarioTrace:
 # -- builtin scenarios ---------------------------------------------------------
 
 
-def _nel(report_to: str, max_age: int, **members) -> str:
-    return serialize_nel_header(NelPolicyHeader(report_to, max_age, **members))
+def _policy(group: str, url: str, max_age: int = YEAR_S, **members) -> dict[str, str]:
+    """The ``NEL`` and ``Report-To`` headers that deploy one group at ``url``."""
+    return {
+        "NEL": serialize_nel_header(NelPolicyHeader(group, max_age, **members)),
+        "Report-To": serialize_report_to_header(
+            [EndpointGroup(group, max_age, [Endpoint(url)])]),
+    }
 
 
-def _group(name: str, url: str, max_age: int = YEAR_S) -> str:
-    return serialize_report_to_header([
-        EndpointGroup(name=name, max_age=max_age, endpoints=[Endpoint(url=url)])])
+def _emit_config(group: str, url: str) -> CollectorConfig:
+    return CollectorConfig(emit_nel=NelPolicyHeader(group, YEAR_S),
+                           emit_report_to=[EndpointGroup(group, YEAR_S, [Endpoint(url)])])
 
 
-def _emit_config(report_to: str, url: str, max_age: int = YEAR_S,
-                 **kwargs) -> CollectorConfig:
-    return CollectorConfig(
-        emit_nel=NelPolicyHeader(report_to=report_to, max_age=max_age),
-        emit_report_to=[EndpointGroup(name=report_to, max_age=max_age,
-                                      endpoints=[Endpoint(url=url)])],
-        **kwargs)
+def _chain_visits() -> list[Visit]:
+    return [
+        Visit(at=1_000, agent="browser", url="https://a.example/"),
+        Visit(at=2_000, agent="browser", url="https://b.example/"),
+        Visit(at=10_000, agent="browser", url="https://b.example/"),
+    ]
 
 
 def _fig2_chain() -> ScenarioConfig:
-    shared = {
-        "NEL": _nel("c", YEAR_S, success_fraction=1.0),
-        "Report-To": _group("c", "https://c.example/up"),
-    }
-    quiet = {
-        "NEL": _nel("c", YEAR_S, success_fraction=0.0),
-        "Report-To": _group("c", "https://c.example/up"),
-    }
     return ScenarioConfig(
         name="fig2_chain",
         description=(
@@ -726,17 +722,11 @@ def _fig2_chain() -> ScenarioConfig:
             "so the browser reports C's failure to C'. The scenario ends "
             "before C recovers, so B's own report stays undelivered."),
         agents=[AgentSpec(name="browser")],
-        dns={
-            "a.example": "192.0.2.10",
-            "b.example": "192.0.2.11",
-            "c.example": "192.0.2.20",
-            "cprime.example": "192.0.2.21",
-        },
         servers={
-            "a.example": ServerSpec(ip="192.0.2.10",
-                                    paths={"/": PathSpec(headers=dict(shared))}),
-            "b.example": ServerSpec(ip="192.0.2.11", down=[(5_000, None)],
-                                    paths={"/": PathSpec(headers=dict(quiet))}),
+            "a.example": ServerSpec(ip="192.0.2.10", paths={"/": PathSpec(
+                headers=_policy("c", "https://c.example/up", success_fraction=1.0))}),
+            "b.example": ServerSpec(ip="192.0.2.11", down=[(5_000, None)], paths={
+                "/": PathSpec(headers=_policy("c", "https://c.example/up"))}),
             "c.example": ServerSpec(ip="192.0.2.20", down=[(5_000, None)]),
             "cprime.example": ServerSpec(ip="192.0.2.21"),
         },
@@ -744,11 +734,7 @@ def _fig2_chain() -> ScenarioConfig:
             "c.example": _emit_config("cprime", "https://cprime.example/up"),
             "cprime.example": CollectorConfig(),
         },
-        visits=[
-            Visit(at=1_000, agent="browser", url="https://a.example/"),
-            Visit(at=2_000, agent="browser", url="https://b.example/"),
-            Visit(at=10_000, agent="browser", url="https://b.example/"),
-        ],
+        visits=_chain_visits(),
     )
 
 
@@ -762,23 +748,11 @@ def _fig3_split_chain() -> ScenarioConfig:
             "b.c.example fail together, so the failure of b.c.example is "
             "never reported anywhere."),
         agents=[AgentSpec(name="browser")],
-        dns={
-            "a.example": "192.0.2.10",
-            "b.example": "192.0.2.11",
-            "a.c.example": "192.0.2.30",
-            "b.c.example": "192.0.2.31",
-            "cprime.example": "192.0.2.21",
-        },
         servers={
-            "a.example": ServerSpec(ip="192.0.2.10", paths={"/": PathSpec(headers={
-                "NEL": _nel("ac", YEAR_S, success_fraction=1.0),
-                "Report-To": _group("ac", "https://a.c.example/up"),
-            })}),
-            "b.example": ServerSpec(ip="192.0.2.11", down=[(5_000, None)],
-                                    paths={"/": PathSpec(headers={
-                "NEL": _nel("bc", YEAR_S),
-                "Report-To": _group("bc", "https://b.c.example/up"),
-            })}),
+            "a.example": ServerSpec(ip="192.0.2.10", paths={"/": PathSpec(
+                headers=_policy("ac", "https://a.c.example/up", success_fraction=1.0))}),
+            "b.example": ServerSpec(ip="192.0.2.11", down=[(5_000, None)], paths={
+                "/": PathSpec(headers=_policy("bc", "https://b.c.example/up"))}),
             "a.c.example": ServerSpec(ip="192.0.2.30"),
             "b.c.example": ServerSpec(ip="192.0.2.31", down=[(5_000, None)]),
             "cprime.example": ServerSpec(ip="192.0.2.21"),
@@ -788,18 +762,8 @@ def _fig3_split_chain() -> ScenarioConfig:
             "b.c.example": _emit_config("cprime", "https://cprime.example/up"),
             "cprime.example": CollectorConfig(),
         },
-        visits=[
-            Visit(at=1_000, agent="browser", url="https://a.example/"),
-            Visit(at=2_000, agent="browser", url="https://b.example/"),
-            Visit(at=10_000, agent="browser", url="https://b.example/"),
-        ],
+        visits=_chain_visits(),
     )
-
-
-_MITM_HEADERS = {
-    "NEL": _nel("evil", CENTURY_S, success_fraction=1.0),
-    "Report-To": _group("evil", "https://evil-collector.example/up", CENTURY_S),
-}
 
 
 def _mitm_persistence() -> ScenarioConfig:
@@ -811,13 +775,8 @@ def _mitm_persistence() -> ScenarioConfig:
             "visits tens of days later still deliver reports to the "
             "attacker's collector."),
         agents=[AgentSpec(name="victim")],
-        dns={
-            "honest.example": "192.0.2.40",
-            "evil-collector.example": "192.0.2.66",
-        },
         servers={
-            "honest.example": ServerSpec(ip="192.0.2.40",
-                                         paths={"/": PathSpec()}),
+            "honest.example": ServerSpec(ip="192.0.2.40", paths={"/": PathSpec()}),
             "evil-collector.example": ServerSpec(ip="192.0.2.66"),
         },
         collectors={
@@ -825,8 +784,9 @@ def _mitm_persistence() -> ScenarioConfig:
                 ip_mode="full", strip_url_query=False),
         },
         mitm_windows=[
-            MitmWindow(agent="victim", host="honest.example",
-                       start=60_000, end=600_000, headers=dict(_MITM_HEADERS)),
+            MitmWindow(agent="victim", host="honest.example", start=60_000, end=600_000,
+                       headers=_policy("evil", "https://evil-collector.example/up",
+                                       CENTURY_S, success_fraction=1.0)),
         ],
         visits=[
             Visit(at=120_000, agent="victim", url="https://honest.example/"),
@@ -852,10 +812,6 @@ def _mitigation_scrub() -> ScenarioConfig:
 
 
 def _rogue_creator() -> ScenarioConfig:
-    rogue_headers = {
-        "NEL": _nel("rogue", YEAR_S, success_fraction=1.0, include_subdomains=True),
-        "Report-To": _group("rogue", "https://rogue-collector.example/up"),
-    }
     visits = []
     for offset, agent in ((0, "permissive"), (100, "strict")):
         visits.extend([
@@ -881,15 +837,12 @@ def _rogue_creator() -> ScenarioConfig:
             AgentSpec(name="permissive"),
             AgentSpec(name="strict", subdomain_mode="strict"),
         ],
-        dns={
-            "pages.example": "192.0.2.50",
-            "static.pages.example": "192.0.2.51",
-            "broken.pages.example": "",
-            "rogue-collector.example": "192.0.2.60",
-        },
+        dns={"broken.pages.example": ""},
         servers={
             "pages.example": ServerSpec(ip="192.0.2.50", paths={
-                "/alice/": PathSpec(headers=dict(rogue_headers)),
+                "/alice/": PathSpec(headers=_policy(
+                    "rogue", "https://rogue-collector.example/up",
+                    success_fraction=1.0, include_subdomains=True)),
                 "/": PathSpec(),
             }),
             "static.pages.example": ServerSpec(ip="192.0.2.51"),
@@ -913,17 +866,9 @@ def _dns_firewall() -> ScenarioConfig:
             "the still-reachable collector carries the remap target, "
             "revealing the firewall to the blocked party."),
         agents=[AgentSpec(name="user")],
-        dns={
-            "blocked.example": "198.51.100.7",
-            "telemetry.example": "198.51.100.9",
-        },
         servers={
             "blocked.example": ServerSpec(ip="198.51.100.7", paths={
-                "/": PathSpec(headers={
-                    "NEL": _nel("t", YEAR_S),
-                    "Report-To": _group("t", "https://telemetry.example/up"),
-                }),
-            }),
+                "/": PathSpec(headers=_policy("t", "https://telemetry.example/up"))}),
             "telemetry.example": ServerSpec(ip="198.51.100.9"),
         },
         collectors={"telemetry.example": CollectorConfig()},
@@ -946,16 +891,10 @@ def _consent_gate() -> ScenarioConfig:
             "Granting consent makes the same visit sequence behave exactly "
             "like a bypass-mode agent."),
         agents=[AgentSpec(name="user", consent_mode="enforce")],
-        dns={
-            "consent.example": "192.0.2.70",
-            "consent-collector.example": "192.0.2.71",
-        },
         servers={
-            "consent.example": ServerSpec(ip="192.0.2.70", down=[(2_500, None)],
-                                          paths={"/": PathSpec(headers={
-                "NEL": _nel("cg", YEAR_S, success_fraction=1.0),
-                "Report-To": _group("cg", "https://consent-collector.example/up"),
-            })}),
+            "consent.example": ServerSpec(ip="192.0.2.70", down=[(2_500, None)], paths={
+                "/": PathSpec(headers=_policy(
+                    "cg", "https://consent-collector.example/up", success_fraction=1.0))}),
             "consent-collector.example": ServerSpec(ip="192.0.2.71"),
         },
         collectors={"consent-collector.example": CollectorConfig()},
@@ -968,7 +907,15 @@ def _consent_gate() -> ScenarioConfig:
 
 
 def builtin_scenarios() -> dict[str, ScenarioConfig]:
-    """Fresh instances of every builtin scenario, keyed by name."""
+    """Fresh instances of every builtin scenario, keyed by name.
+
+    A builder writes each host's address once, in its server; each config's
+    ``dns`` maps every server to that address, and holds entries of its own
+    only for names with no server.
+    """
     builders = (_fig2_chain, _fig3_split_chain, _mitm_persistence,
                 _rogue_creator, _dns_firewall, _mitigation_scrub, _consent_gate)
-    return {config.name: config for config in (build() for build in builders)}
+    configs = [build() for build in builders]
+    for config in configs:
+        config.dns = {host: s.ip for host, s in config.servers.items()} | config.dns
+    return {config.name: config for config in configs}

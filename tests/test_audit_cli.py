@@ -8,6 +8,7 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -390,6 +391,39 @@ class TestFetchRedirects:
             assert "more than 5 redirects" in error["message"]
 
 
+MEBIBYTE = b"x" * (1 << 20)
+
+
+class TestFetchBody:
+    @pytest.mark.parametrize("declared", [True, False], ids=["content-length", "read-to-close"])
+    def test_a_long_body_is_never_buffered(self, declared):
+        """A 16 MiB body, its length declared or read to the close."""
+
+        class Stream(Redirector):
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("NEL", '{"max_age":0}')
+                if declared:
+                    self.send_header("Content-Length", str(16 * len(MEBIBYTE)))
+                self.end_headers()
+                try:
+                    for _ in range(16):
+                        self.wfile.write(MEBIBYTE)
+                except OSError:
+                    pass  # the client closed without reading the rest
+                self.close_connection = True
+
+        with serving(Stream) as base:
+            tracemalloc.start()
+            try:
+                _, headers = fetch_headers(f"{base}/")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert headers["NEL"] == '{"max_age":0}'
+        assert peak < 4 << 20  # bytes
+
+
 # Targets that urllib or the IDNA codec refuse before any packet is sent.
 MALFORMED_TARGETS = pytest.mark.parametrize("target, phase", [
     ("http://x.invalid:99999/", "http"),
@@ -552,44 +586,44 @@ class TestCollectCommand:
             "listen": "127.0.0.1:9999",
             "ip_mode": "full",
         }))
-        process = subprocess.Popen(
-            [sys.executable, "-m", "nellab.cli", "collect",
-             "--config", str(config),
-             "--listen", "127.0.0.1:0",
-             "--ip-mode", "volatile",
-             "--log-path", str(log)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            banner = process.stdout.readline()
-            assert "ip_mode=volatile" in banner
-            address = banner.split()[3]
-            host, port = address.rsplit(":", 1)
+        with subprocess.Popen(
+                [sys.executable, "-m", "nellab.cli", "collect",
+                 "--config", str(config),
+                 "--listen", "127.0.0.1:0",
+                 "--ip-mode", "volatile",
+                 "--log-path", str(log)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as process:
+            try:
+                banner = process.stdout.readline()
+                assert "ip_mode=volatile" in banner
+                address = banner.split()[3]
+                host, port = address.rsplit(":", 1)
 
-            from nellab.headers import REPORT_MEDIA_TYPE
+                from nellab.headers import REPORT_MEDIA_TYPE
 
-            connection = http.client.HTTPConnection(host, int(port), timeout=5)
-            payload = json.dumps([json.loads(json.dumps({
-                "age": 0, "type": "network-error", "url": "https://x.example/",
-                "body": {"sampling_fraction": 1.0, "referrer": "",
-                         "server_ip": "", "protocol": "h2", "method": "GET",
-                         "request_headers": {}, "response_headers": {},
-                         "status_code": 0, "elapsed_time": 1,
-                         "phase": "connection", "type": "tcp.refused"}}))]).encode()
-            connection.request("POST", "/up", body=payload,
-                               headers={"Content-Type": REPORT_MEDIA_TYPE})
-            assert connection.getresponse().status == 200
-            connection.close()
+                connection = http.client.HTTPConnection(host, int(port), timeout=5)
+                payload = json.dumps([json.loads(json.dumps({
+                    "age": 0, "type": "network-error", "url": "https://x.example/",
+                    "body": {"sampling_fraction": 1.0, "referrer": "",
+                             "server_ip": "", "protocol": "h2", "method": "GET",
+                             "request_headers": {}, "response_headers": {},
+                             "status_code": 0, "elapsed_time": 1,
+                             "phase": "connection", "type": "tcp.refused"}}))]).encode()
+                connection.request("POST", "/up", body=payload,
+                                   headers={"Content-Type": REPORT_MEDIA_TYPE})
+                assert connection.getresponse().status == 200
+                connection.close()
 
-            process.send_signal(signal.SIGINT)
-            process.wait(timeout=10)
-            assert process.returncode == 0
-            assert len(log.read_text().splitlines()) == 1
-            # perfbench/httpload.py parses this line for the record count.
-            assert "collector stopped; 1 records" in process.stdout.read()
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+                process.send_signal(signal.SIGINT)
+                process.wait(timeout=10)
+                assert process.returncode == 0
+                assert len(log.read_text().splitlines()) == 1
+                # perfbench/httpload.py parses this line for the record count.
+                assert "collector stopped; 1 records" in process.stdout.read()
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
 
 
 class TestReadOnlyInvariant:

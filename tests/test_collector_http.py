@@ -158,6 +158,47 @@ def test_bad_content_length_400_and_close(http_collector, length):
     assert collector.stored == 0
 
 
+# A request that would run if the collector took the bytes after a body of
+# unknown extent for the next request.
+SMUGGLED = b"GET /smuggled HTTP/1.1\r\nConnection: close\r\n\r\n"
+
+
+def statuses_until_eof(base_url: str, data: bytes) -> list[int]:
+    """Send raw bytes on one connection and half-close it; every status code
+    the server sends before it closes."""
+    parts = urlsplit(base_url)
+    received = b""
+    with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        while chunk := sock.recv(65536):
+            received += chunk
+    return [int(code) for code in re.findall(rb"^HTTP/1\.1 (\d{3}) ", received, re.M)]
+
+
+def upload_head(*headers: str) -> bytes:
+    return "".join(f"{line}\r\n" for line in (
+        "POST /up HTTP/1.1", f"Content-Type: {REPORT_MEDIA_TYPE}", *headers, "")).encode()
+
+
+@pytest.mark.parametrize("data, status", [
+    (upload_head("Transfer-Encoding: chunked") + b"0\r\n\r\n" + SMUGGLED, 400),
+    (upload_head("Content-Length: 5", "Transfer-Encoding: chunked")
+     + b"0\r\n\r\n" + SMUGGLED, 400),
+    (upload_head("Content-Length: 0", f"Content-Length: {len(SMUGGLED)}") + SMUGGLED, 400),
+    (b"GET / HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(SMUGGLED) + SMUGGLED, 200),
+], ids=["chunked", "content-length-and-chunked", "duplicate-content-length",
+        "get-with-body"])
+def test_a_body_is_never_read_as_a_request(http_collector, data, status):
+    """Each request gets exactly one answer: its body is read as a body, or,
+    when its extent is unknown, not at all."""
+    batches = []
+    collector, base_url = http_collector(CollectorConfig(), batches.append)
+    assert statuses_until_eof(base_url, data) == [status]
+    assert batches == []
+    assert collector.stored == 0
+
+
 def test_wrong_media_type_keeps_connection_in_sync(http_collector):
     batches = []
     collector, base_url = http_collector(CollectorConfig(), batches.append)

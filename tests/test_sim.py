@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nellab import headers
-from nellab.collector import CollectorConfig
+from nellab.collector import Collector, CollectorConfig
 from nellab.headers import NelPolicyHeader
 from nellab.report_engine import MAX_ATTEMPTS
 from nellab.sim import (
@@ -80,6 +80,75 @@ class TestBuiltins:
         first = builtin_scenarios()["fig2_chain"]
         first.seed = 999
         assert builtin_scenarios()["fig2_chain"].seed == 0
+
+    def test_served_header_text(self):
+        """No trace or digest sees a Report-To lifetime, so this pins the text
+        of every policy header a builtin's servers, MitM windows and
+        collectors send."""
+        served = {}
+        for name, config in builtin_scenarios().items():
+            for host, server in config.servers.items():
+                for prefix, path in server.paths.items():
+                    served[name, f"server {host}{prefix}"] = path.headers
+            for window in config.mitm_windows:
+                served[name, f"mitm {window.host}"] = window.headers
+            for host, collector in config.collectors.items():
+                served[name, f"collector {host}"] = Collector(collector).response_headers()
+        served = {key: headers for key, headers in served.items() if headers}
+        year_c = ('{"group":"c","max_age":31536000,'
+                  '"endpoints":[{"url":"https://c.example/up"}]}')
+        emitted = {
+            "NEL": '{"report_to":"cprime","max_age":31536000}',
+            "Report-To": ('{"group":"cprime","max_age":31536000,'
+                          '"endpoints":[{"url":"https://cprime.example/up"}]}'),
+        }
+        injected = {
+            "NEL": '{"report_to":"evil","max_age":3153600000,"success_fraction":1.0}',
+            "Report-To": ('{"group":"evil","max_age":3153600000,'
+                          '"endpoints":[{"url":"https://evil-collector.example/up"}]}'),
+        }
+        assert served == {
+            ("fig2_chain", "server a.example/"): {
+                "NEL": '{"report_to":"c","max_age":31536000,"success_fraction":1.0}',
+                "Report-To": year_c,
+            },
+            ("fig2_chain", "server b.example/"): {
+                "NEL": '{"report_to":"c","max_age":31536000}',
+                "Report-To": year_c,
+            },
+            ("fig2_chain", "collector c.example"): emitted,
+            ("fig3_split_chain", "server a.example/"): {
+                "NEL": '{"report_to":"ac","max_age":31536000,"success_fraction":1.0}',
+                "Report-To": ('{"group":"ac","max_age":31536000,'
+                              '"endpoints":[{"url":"https://a.c.example/up"}]}'),
+            },
+            ("fig3_split_chain", "server b.example/"): {
+                "NEL": '{"report_to":"bc","max_age":31536000}',
+                "Report-To": ('{"group":"bc","max_age":31536000,'
+                              '"endpoints":[{"url":"https://b.c.example/up"}]}'),
+            },
+            ("fig3_split_chain", "collector a.c.example"): emitted,
+            ("fig3_split_chain", "collector b.c.example"): emitted,
+            ("mitm_persistence", "mitm honest.example"): injected,
+            ("mitigation_scrub", "server honest.example/"): {"NEL": '{"max_age":0}'},
+            ("mitigation_scrub", "mitm honest.example"): injected,
+            ("rogue_creator", "server pages.example/alice/"): {
+                "NEL": ('{"report_to":"rogue","max_age":31536000,'
+                        '"include_subdomains":true,"success_fraction":1.0}'),
+                "Report-To": ('{"group":"rogue","max_age":31536000,'
+                              '"endpoints":[{"url":"https://rogue-collector.example/up"}]}'),
+            },
+            ("dns_firewall", "server blocked.example/"): {
+                "NEL": '{"report_to":"t","max_age":31536000}',
+                "Report-To": ('{"group":"t","max_age":31536000,'
+                              '"endpoints":[{"url":"https://telemetry.example/up"}]}'),
+            },
+            ("consent_gate", "server consent.example/"): {
+                "NEL": '{"report_to":"cg","max_age":31536000,"success_fraction":1.0}',
+                "Report-To": ('{"group":"cg","max_age":31536000,'
+                              '"endpoints":[{"url":"https://consent-collector.example/up"}]}'),
+            },
+        }
 
 
 class TestFig2Chain:
