@@ -23,10 +23,10 @@ from .audit import (
     render_findings,
 )
 from .collector import Collector, CollectorConfig
-from .headers import decode_json
+from .headers import check_types, decode_json
 from .server import make_server
-from .sim import ConfigError, builtin_scenarios, check_types, collector_from_dict, \
-    config_from_dict, run_scenario
+from .sim import ConfigError, builtin_scenarios, collector_from_dict, config_from_dict, \
+    run_scenario
 
 SEED_ENV_VAR = "NEL_LAB_SEED"
 

@@ -12,14 +12,17 @@ order is the wire order and a field's default is the member's. Serialization
 omits exactly the members at their defaults and parsing fills them back in,
 so round trips are exact. A Report-To group's wire names, defaults and order
 differ from its dataclass's, so its pair is written out by hand.
+
+One checker, :func:`check_types`, checks a JSON value against an annotation,
+for the wire shapes here and the simulator's config documents alike.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
-from typing import get_origin, get_type_hints
+from typing import Literal, NewType, Union, get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit, urlunsplit
 
 REPORT_MEDIA_TYPE = "application/reports+json"
@@ -32,8 +35,8 @@ REPORT_PHASES = ("dns", "connection", "application")
 
 
 class ParseError(ValueError):
-    """Raised when a header value or report batch is malformed; an error in
-    one element of a batch starts with ``element <index>: ``."""
+    """Raised when a header value, report batch or config document is malformed;
+    an error in one element of a batch starts with ``element <index>: ``."""
 
 
 class Removal:
@@ -137,15 +140,70 @@ class NelReport:
     type: str = "network-error"
 
 
+# A virtual time: a JSON integer, which errors name as milliseconds.
+Millis = NewType("Millis", int)
+
+# How errors name each kind a member can declare, and the types its values may have.
+_JSON_KINDS = {str: ("a JSON string", str), bool: ("a JSON boolean", bool),
+               int: ("a JSON integer", int), Millis: ("an integer of milliseconds", int),
+               float: ("a JSON number", (int, float)), list: ("a JSON array", list),
+               tuple: ("a JSON array", (tuple, list)), dict: ("a JSON object", dict)}
+
+
+def checked(value, kind, where: str):
+    """``value`` if it has JSON kind ``kind``; bool is never a number."""
+    text, types = _JSON_KINDS[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+        got = "" if kind in (list, tuple, dict) else f", got {value!r}"
+        raise ParseError(f"{where} must be {text}{got}")
+    return value
+
+
 @cache
-def _kinds(cls) -> tuple:
-    """``(name, JSON kind, default)`` per field of dataclass ``cls``, in wire
-    order, a required field's default being ``MISSING``. A float accepts any
-    JSON number, a tuple a JSON array, and a dict a JSON object."""
-    hints = {name: get_origin(hint) or hint for name, hint in get_type_hints(cls).items()}
-    json_kinds = {float: (int, float), tuple: list}
-    return tuple((f.name, json_kinds.get(hints[f.name], hints[f.name]), f.default)
-                 for f in fields(cls))
+def shape(hint) -> tuple:
+    """``(kind, args)`` of an annotation; ``X | None`` is a ``Union``, and a dataclass's
+    args are ``(name, hint, default, kind, exact)`` per field, in order: a required
+    field's default is ``MISSING``, and a member of type ``exact`` is well-typed."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        return dataclass, tuple(
+            (f.name, hints[f.name], f.default, shape(hints[f.name])[0],
+             _JSON_KINDS.get(hints[f.name], (None, None))[1])
+            for f in fields(hint))
+    args = get_args(hint)
+    return (Union if type(None) in args else get_origin(hint) or hint), args
+
+
+def check_types(value, hint, where: str) -> None:
+    """Raise :class:`ParseError` naming the first part of ``value`` (named
+    ``where``) that ``hint``, or a dataclass member's annotation, does not allow."""
+    kind, args = shape(hint)
+    if kind is Union:
+        if value is not None:
+            check_types(value, args[0], where)
+    elif kind is dataclass:
+        if not isinstance(value, hint):
+            raise ParseError(f"{where} must be a JSON object")
+        for name, member, _, _, exact in args:
+            item = getattr(value, name)
+            if type(item) is not exact:
+                check_types(item, member, f"{where}.{name}")
+    elif kind is dict and args:
+        for key, item in checked(value, dict, where).items():
+            check_types(item, args[1], f"{where}[{key!r}]")
+    elif kind is Literal:
+        if value not in args:
+            raise ParseError(f"{where} must be one of "
+                             f"{', '.join(map(repr, args))}, got {value!r}")
+    elif kind is list or kind is tuple:
+        if kind is list or args[-1] is Ellipsis:
+            args = args[:1] * len(checked(value, kind, where))
+        elif len(checked(value, tuple, where)) != len(args):
+            raise ParseError(f"{where} must be an array of {len(args)} items")
+        for index, (item, member) in enumerate(zip(value, args)):
+            check_types(item, member, f"{where}[{index}]")
+    else:
+        checked(value, kind, where)
 
 
 def decode_json(raw: str | bytes, what: str = "JSON"):
@@ -163,18 +221,16 @@ def _check_size(raw: str) -> None:
         raise ParseError(f"header value exceeds {MAX_HEADER_BYTES} bytes")
 
 
-def _member(obj: dict, name: str, kind, default=MISSING):
-    """Fetch and type-check one JSON member; bool is never a number.
-
-    A member whose ``default`` is ``MISSING`` is required.
-    """
+def _member(obj: dict, name: str, hint, default=MISSING):
+    """Fetch one JSON member, checked against ``hint`` by :func:`check_types`;
+    a member whose ``default`` is ``MISSING`` is required."""
     if name not in obj:
         if default is MISSING:
             raise ParseError(f"missing required member {name!r}")
         return default
     value = obj[name]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ParseError(f"member {name!r} has wrong type")
+    if type(value) is not hint:
+        check_types(value, hint, name)
     return value
 
 
@@ -182,8 +238,8 @@ def _from_dict(cls, obj: dict):
     """Dataclass ``cls`` from its JSON object, each field fetched by
     :func:`_member`; the dataclass's own checks fail as :class:`ParseError` too."""
     try:
-        return cls(*[_member(obj, name, kind, default)
-                      for name, kind, default in _kinds(cls)])
+        return cls(*[_member(obj, name, hint, default)
+                     for name, hint, default, _, _ in shape(cls)[1]])
     except ValueError as exc:  # ParseError is a ValueError: its message stays
         raise ParseError(str(exc)) from None
 
@@ -191,7 +247,7 @@ def _from_dict(cls, obj: dict):
 def _to_dict(obj) -> dict:
     """A dataclass's JSON object: its fields in order less those at their defaults."""
     return {name: list(value) if isinstance(value, tuple) else value
-            for name, _, default in _kinds(type(obj))
+            for name, _, default, _, _ in shape(type(obj))[1]
             if (value := getattr(obj, name)) != default}
 
 
@@ -212,11 +268,7 @@ def policy_from_dict(obj) -> NelPolicyHeader | Removal:
         raise ParseError("policy must be one JSON object")
     if _member(obj, "max_age", int) == 0:
         return REMOVAL
-    policy = _from_dict(NelPolicyHeader, obj)
-    for name in ("request_headers", "response_headers"):
-        if not all(isinstance(v, str) for v in getattr(policy, name)):
-            raise ParseError(f"member {name!r} must be a list of header names")
-    return policy
+    return _from_dict(NelPolicyHeader, obj)
 
 
 def parse_nel_header(raw: str) -> NelPolicyHeader | Removal:
@@ -247,15 +299,11 @@ def group_from_dict(obj) -> EndpointGroup:
     if not isinstance(obj, dict):
         raise ParseError("group value must be a JSON object")
     try:
-        endpoints = []
-        for entry in _member(obj, "endpoints", list):
-            if not isinstance(entry, dict):
-                raise ParseError("endpoint entry must be a JSON object")
-            endpoints.append(_from_dict(Endpoint, entry))
         return EndpointGroup(
+            endpoints=[_from_dict(Endpoint, entry)
+                       for entry in _member(obj, "endpoints", list[dict])],
             name=_member(obj, "group", str, default="default"),
             max_age=_member(obj, "max_age", int),
-            endpoints=endpoints,
             include_subdomains=_member(obj, "include_subdomains", bool, default=False),
         )
     except ValueError as exc:  # the dataclasses check URLs, ranges and emptiness
@@ -327,10 +375,6 @@ def report_from_dict(obj) -> NelReport:
         raise ParseError("sampling_fraction outside [0, 1]")
     if parsed.phase not in REPORT_PHASES:
         raise ParseError(f"unknown phase {parsed.phase!r}")
-    for name in ("request_headers", "response_headers"):
-        if not all(isinstance(k, str) and isinstance(v, str)
-                   for k, v in getattr(parsed, name).items()):
-            raise ParseError(f"member {name!r} must map names to values")
     parsed.sampling_fraction = float(parsed.sampling_fraction)
     return NelReport(age=age, url=url, body=parsed)
 

@@ -19,6 +19,10 @@ logger = logging.getLogger("nellab.collector")
 # server-clock time.
 PURGE_INTERVAL_MS = 60_000
 
+# A client that sends nothing for this long, mid-request or between requests
+# on a kept-alive connection, is disconnected without a status line.
+IDLE_TIMEOUT_S = 10
+
 
 def parse_listen(listen: str) -> tuple[str, int]:
     host, _, port = listen.rpartition(":")
@@ -31,6 +35,7 @@ class _CollectorHandler(BaseHTTPRequestHandler):
     server_version = "nel-lab-collector/0.1"
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S  # socketserver sets it on the connection
 
     def send_response_only(self, code, message=None):
         # The stdlib sends no status line or headers to what it takes for an

@@ -24,17 +24,18 @@ import heapq
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from functools import cache, partial
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from itertools import groupby
 from operator import attrgetter
-from typing import Literal, NewType, Union, get_args, get_origin, get_type_hints
+from typing import Literal
 from urllib.parse import SplitResult, urlsplit
 
 from .collector import Collector, CollectorConfig, RejectError, StoredRecord
-from .headers import Endpoint, EndpointGroup, NelPolicyHeader, ParseError, Removal, \
-    NelReport, group_from_dict, group_to_dict, policy_from_dict, policy_to_dict, \
-    serialize_nel_header, serialize_report_batch, serialize_report_to_header
+from .headers import Endpoint, EndpointGroup, Millis, NelPolicyHeader, ParseError, \
+    Removal, NelReport, check_types, checked, group_from_dict, group_to_dict, \
+    policy_from_dict, policy_to_dict, serialize_nel_header, serialize_report_batch, \
+    serialize_report_to_header, shape
 from .policy_store import PolicyStore
 from .report_engine import DELIVERED, ReferrerMode, ReportEngine, RequestOutcome, \
     TransportResult, UNREACHABLE
@@ -51,12 +52,8 @@ FETCH_ELAPSED_MS = 50
 # collector) is abandoned.
 DRAIN_WINDOW_MS = 7 * DAY_MS
 
-# A virtual time: a JSON integer, which errors name as milliseconds.
-Millis = NewType("Millis", int)
-
-
-class ConfigError(ValueError):
-    """A scenario or collector config entry is invalid; the message names the entry."""
+# A scenario or collector config entry is invalid; the message names the entry.
+ConfigError = ParseError
 
 
 @dataclass
@@ -280,74 +277,15 @@ def collector_to_dict(config: CollectorConfig) -> dict:
     return data
 
 
-# How errors name each kind a member can declare, and the types its values may have.
-_JSON_KINDS = {str: ("a JSON string", str), bool: ("a JSON boolean", bool),
-               int: ("a JSON integer", int), Millis: ("an integer of milliseconds", int),
-               float: ("a JSON number", (int, float)), list: ("a JSON array", list),
-               tuple: ("a JSON array", (tuple, list)), dict: ("a JSON object", dict)}
-
-
-def _checked(value, kind, where: str):
-    text, types = _JSON_KINDS[kind]
-    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
-        got = "" if kind in (list, tuple, dict) else f", got {value!r}"
-        raise ConfigError(f"{where} must be {text}{got}")
-    return value
-
-
-@cache
-def _shape(hint) -> tuple:
-    """``(kind, args)`` of an annotation; ``X | None`` is a ``Union``, and a dataclass's
-    args are ``(name, hint, kind, exact)``: a member of type ``exact`` is well-typed."""
-    if is_dataclass(hint):
-        return dataclass, tuple(
-            (name, member, _shape(member)[0], _JSON_KINDS.get(member, (None, None))[1])
-            for name, member in get_type_hints(hint).items())
-    args = get_args(hint)
-    return (Union if type(None) in args else get_origin(hint) or hint), args
-
-
-def check_types(value, hint, where: str) -> None:
-    """Raise :class:`ConfigError` naming the first part of ``value`` (named
-    ``where``) that ``hint``, or a dataclass member's annotation, does not allow."""
-    kind, args = _shape(hint)
-    if kind is Union:
-        if value is not None:
-            check_types(value, args[0], where)
-    elif kind is dataclass:
-        if not isinstance(value, hint):
-            raise ConfigError(f"{where} must be a JSON object")
-        for name, member, _, exact in args:
-            item = getattr(value, name)
-            if type(item) is not exact:
-                check_types(item, member, f"{where}.{name}")
-    elif kind is dict:
-        for key, item in _checked(value, dict, where).items():
-            check_types(item, args[1], f"{where}[{key!r}]")
-    elif kind is Literal:
-        if value not in args:
-            raise ConfigError(f"{where} must be one of "
-                              f"{', '.join(map(repr, args))}, got {value!r}")
-    elif kind is list or kind is tuple:
-        if kind is list or args[-1] is Ellipsis:
-            args = args[:1] * len(_checked(value, kind, where))
-        elif len(_checked(value, tuple, where)) != len(args):
-            raise ConfigError(f"{where} must be an array of {len(args)} items")
-        for index, (item, member) in enumerate(zip(value, args)):
-            check_types(item, member, f"{where}[{index}]")
-    else:
-        _checked(value, kind, where)
-
-
 def _load(cls, data, where: str):
     """``cls(**data)`` with its list and dict members type-checked."""
     try:
-        entry = cls(**_checked(data, dict, where))
+        entry = cls(**checked(data, dict, where))
     except TypeError as exc:  # an unknown or missing member
         raise ConfigError(f"{where}: {exc}") from None
-    for name, _, kind, _ in _shape(cls)[1]:
-        if (kind is list or kind is dict) and not isinstance(getattr(entry, name), kind):
-            raise ConfigError(f"{where}.{name} must be {_JSON_KINDS[kind][0]}")
+    for name, _, _, kind, _ in shape(cls)[1]:
+        if (kind is list or kind is dict) and type(value := getattr(entry, name)) is not kind:
+            checked(value, kind, f"{where}.{name}")
     return entry
 
 
@@ -367,7 +305,7 @@ def collector_from_dict(data, where: str = "collector") -> CollectorConfig:
     or a malformed ``emit_nel_headers`` raises :class:`ConfigError`;
     :func:`check_types` checks the other members.
     """
-    data = dict(_checked(data, dict, where))
+    data = dict(checked(data, dict, where))
     retention = data.pop("retention", None)
     emit = data.pop("emit_nel_headers", None)
     emit_nel = emit_report_to = None
@@ -411,7 +349,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                       for host, s in config.servers.items()}
     for host, server in config.servers.items():
         where = f"scenario.servers[{host!r}]"
-        server.down = [tuple(_checked(interval, tuple, f"{where}.down[{i}]"))
+        server.down = [tuple(checked(interval, tuple, f"{where}.down[{i}]"))
                        for i, interval in enumerate(server.down)]
         server.paths = {path: _load(PathSpec, p, f"{where}.paths[{path!r}]")
                         for path, p in server.paths.items()}

@@ -67,7 +67,8 @@ def http_collector():
     def start(config: CollectorConfig, sink=None) -> tuple[Collector, str]:
         collector = Collector(dataclasses.replace(config, listen="127.0.0.1:0"), sink)
         server = make_server(collector)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.01}, daemon=True)
         thread.start()
         servers.append(server)
         host, port = server.server_address[:2]

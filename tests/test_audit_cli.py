@@ -330,7 +330,8 @@ class TestAuditCommand:
 def serving(handler):
     """Run ``handler`` on a loopback HTTP server; yields its base URL."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                     daemon=True).start()
     try:
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}"

@@ -1,14 +1,18 @@
 """Collector HTTP service over a real localhost socket."""
 
+import contextlib
 import http.client
 import json
 import re
 import socket
+import threading
+import time
 from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from nellab import server
 from nellab.collector import CollectorConfig
 from nellab.headers import (
     NelReport,
@@ -196,6 +200,29 @@ def test_a_body_is_never_read_as_a_request(http_collector, data, status):
     collector, base_url = http_collector(CollectorConfig(), batches.append)
     assert statuses_until_eof(base_url, data) == [status]
     assert batches == []
+    assert collector.stored == 0
+
+
+def test_stalled_clients_are_disconnected(http_collector, monkeypatch):
+    """A client that stops mid-request, in its body or in its headers, is
+    disconnected without an answer, and its handler thread ends."""
+    assert server._CollectorHandler.timeout == server.IDLE_TIMEOUT_S
+    monkeypatch.setattr(server._CollectorHandler, "timeout", 0.2)  # for a fast test
+    collector, base_url = http_collector(CollectorConfig())
+    threads_before = threading.active_count()
+    parts = urlsplit(base_url)
+    stalled = [upload_head("Content-Length: 10"), b"GET / HTTP/1.1\r\n"]
+    with contextlib.ExitStack() as stack:
+        socks = [stack.enter_context(socket.create_connection(
+            (parts.hostname, parts.port), timeout=3)) for _ in stalled]
+        for sock, data in zip(socks, stalled):
+            sock.sendall(data)
+        # Each recv raises socket.timeout unless the server closes first.
+        assert [sock.recv(65536) for sock in socks] == [b"", b""]
+    deadline = time.monotonic() + 3
+    while threading.active_count() > threads_before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= threads_before
     assert collector.stored == 0
 
 

@@ -17,6 +17,7 @@ from nellab.headers import (
     REMOVAL,
     Removal,
     ReportBody,
+    check_types,
     group_from_dict,
     group_to_dict,
     parse_nel_header,
@@ -32,7 +33,7 @@ from nellab.headers import (
 )
 from nellab.sim import collector_from_dict, collector_to_dict
 
-from conftest import DEEP_HEADER, DEEP_JSON
+from conftest import DEEP_HEADER, DEEP_JSON, FIG1_REPORT
 
 
 @pytest.mark.parametrize("parse", [parse_nel_header, parse_report_to_header],
@@ -373,6 +374,32 @@ def test_collector_config_round_trip(policy, group_list):
 @given(st.lists(reports, min_size=1, max_size=4))
 def test_report_batch_round_trip(batch):
     assert parse_report_batch(serialize_report_batch(batch)) == batch
+
+
+@given(policies, st.lists(groups, min_size=1, max_size=3))
+def test_parsed_policies_and_groups_pass_the_checker(policy, group_list):
+    """What the header parsers return passes ``check_types`` against its own
+    class, the check a config document's emitted headers get."""
+    check_types(parse_nel_header(serialize_nel_header(policy)), NelPolicyHeader, "nel")
+    for group in parse_report_to_header(serialize_report_to_header(group_list)):
+        check_types(group, EndpointGroup, "report_to")
+
+
+@pytest.mark.parametrize("parse, raw, message", [
+    (parse_nel_header, '{"report_to":"g","max_age":"5"}',
+     "max_age must be a JSON integer, got '5'"),
+    (parse_nel_header, '{"report_to":"g","max_age":60,"request_headers":["a",5]}',
+     "request_headers[1] must be a JSON string, got 5"),
+    (parse_report_to_header, '{"max_age":60,"endpoints":[5]}',
+     "endpoints[0] must be a JSON object"),
+    (parse_report_batch, json.dumps([{**FIG1_REPORT, "body": {
+        **FIG1_REPORT["body"], "request_headers": {"a": 1}}}]).encode(),
+     "element 0: request_headers['a'] must be a JSON string, got 1"),
+], ids=["nel-member", "nel-list-element", "report-to-endpoint", "batch-header-map"])
+def test_wire_type_errors_name_the_failing_part(parse, raw, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(raw)
+    assert str(excinfo.value) == message
 
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
