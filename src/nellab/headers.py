@@ -23,7 +23,7 @@ import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from typing import Literal, NewType, Union, get_args, get_origin, get_type_hints
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import SplitResult, urlsplit, urlunsplit
 
 REPORT_MEDIA_TYPE = "application/reports+json"
 
@@ -86,7 +86,7 @@ class Endpoint:
     weight: int = 1
 
     def __post_init__(self):
-        parts = urlsplit(self.url)
+        parts = split_url(self.url)[0]
         if parts.scheme != "https" or not parts.netloc:
             raise ValueError(f"endpoint URL must be absolute https: {self.url!r}")
         if self.priority < 0:
@@ -150,6 +150,11 @@ _JSON_KINDS = {str: ("a JSON string", str), bool: ("a JSON boolean", bool),
                tuple: ("a JSON array", (tuple, list)), dict: ("a JSON object", dict)}
 
 
+def _exact(hint):
+    """The one type whose values ``hint`` allows without a check, if any."""
+    return _JSON_KINDS.get(hint, (None, None))[1]
+
+
 def checked(value, kind, where: str):
     """``value`` if it has JSON kind ``kind``; bool is never a number."""
     text, types = _JSON_KINDS[kind]
@@ -167,8 +172,7 @@ def shape(hint) -> tuple:
     if is_dataclass(hint):
         hints = get_type_hints(hint)
         return dataclass, tuple(
-            (f.name, hints[f.name], f.default, shape(hints[f.name])[0],
-             _JSON_KINDS.get(hints[f.name], (None, None))[1])
+            (f.name, hints[f.name], f.default, shape(hints[f.name])[0], _exact(hints[f.name]))
             for f in fields(hint))
     args = get_args(hint)
     return (Union if type(None) in args else get_origin(hint) or hint), args
@@ -189,8 +193,10 @@ def check_types(value, hint, where: str) -> None:
             if type(item) is not exact:
                 check_types(item, member, f"{where}.{name}")
     elif kind is dict and args:
+        exact = _exact(args[1])
         for key, item in checked(value, dict, where).items():
-            check_types(item, args[1], f"{where}[{key!r}]")
+            if type(item) is not exact:
+                check_types(item, args[1], f"{where}[{key!r}]")
     elif kind is Literal:
         if value not in args:
             raise ParseError(f"{where} must be one of "
@@ -201,7 +207,8 @@ def check_types(value, hint, where: str) -> None:
         elif len(checked(value, tuple, where)) != len(args):
             raise ParseError(f"{where} must be an array of {len(args)} items")
         for index, (item, member) in enumerate(zip(value, args)):
-            check_types(item, member, f"{where}[{index}]")
+            if type(item) is not _exact(member):
+                check_types(item, member, f"{where}[{index}]")
     else:
         checked(value, kind, where)
 
@@ -328,21 +335,46 @@ def serialize_report_to_header(groups: list[EndpointGroup]) -> str:
 # -- network-error report -----------------------------------------------------------
 
 
+_URLS: dict[str, tuple[SplitResult, str, str]] = {}
+clear_url_memo = _URLS.clear  # each simulator run ends with this
+URL_MEMO_MAX = 4_096
+URL_MEMO_KEY_MAX = 2_048
+
+
+def split_url(url: str) -> tuple[SplitResult, str, str]:
+    """``url``'s parts, its host (lowercased; ``""`` for none) and
+    :func:`strip_query`'s result, worked out once per distinct URL.
+
+    The memo is emptied when one more URL would make it hold more than
+    ``URL_MEMO_MAX``, and it never keeps a URL longer than ``URL_MEMO_KEY_MAX``,
+    since the HTTP collector reads client URLs up to its 1 MiB body cap. A URL
+    the URL parser refuses is never kept and raises its ``ValueError`` each time.
+    """
+    entry = _URLS.get(url)
+    if entry is None:
+        parts = urlsplit(url)
+        stripped = urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path,
+                               "", ""))
+        # Equal URLs share one stripped string, the URL itself if nothing was cut.
+        entry = (parts, parts.hostname or "", url if stripped == url else stripped)
+        if len(url) <= URL_MEMO_KEY_MAX:
+            _URLS[url] = entry
+            if len(_URLS) > URL_MEMO_MAX:
+                _URLS.clear()
+    return entry
+
+
 def strip_credentials(url: str) -> str:
     """``url`` without username and password; a URL without ``@`` is returned as is."""
     if "@" not in url:
         return url
-    netloc = urlsplit(url).netloc
+    netloc = split_url(url)[0].netloc
     return url.replace(netloc, netloc.rpartition("@")[2], 1)
 
 
 def strip_query(url: str) -> str:
     """``url`` without its credentials, query and fragment; an empty URL stays empty."""
-    if not url:
-        return url
-    parts = urlsplit(url)
-    return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path,
-                       "", ""))
+    return split_url(url)[2]
 
 
 def report_to_dict(report: NelReport) -> dict:

@@ -17,7 +17,6 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Literal
-from urllib.parse import urlsplit
 
 from .headers import (
     EndpointGroup,
@@ -25,6 +24,7 @@ from .headers import (
     NelReport,
     REPORT_PHASES,
     ReportBody,
+    split_url,
     strip_credentials,
     strip_query,
 )
@@ -64,7 +64,7 @@ class RequestOutcome:
 
     @property
     def host(self) -> str:
-        return urlsplit(self.url).hostname or ""
+        return split_url(self.url)[1]
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def apply_referrer_restriction(referrer: str, mode: ReferrerMode = "origin-only"
         return strip_credentials(referrer)
     if mode == "strip-path":
         return strip_query(referrer)
-    parts = urlsplit(referrer)
+    parts = split_url(referrer)[0]
     return f"{parts.scheme}://{parts.netloc.rpartition('@')[2]}/"
 
 
@@ -124,6 +124,8 @@ def capture_headers(outcome: RequestOutcome,
     """Copy only the exchange headers the policy asked to capture."""
 
     def pick(names: tuple[str, ...], available: dict[str, str]) -> dict[str, str]:
+        if not names:
+            return {}
         lowered = {k.lower(): v for k, v in available.items()}
         return {name: lowered[name.lower()] for name in names
                 if name.lower() in lowered}

@@ -29,13 +29,12 @@ from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from typing import Literal
-from urllib.parse import SplitResult, urlsplit
 
 from .collector import Collector, CollectorConfig, RejectError, StoredRecord
 from .headers import Endpoint, EndpointGroup, Millis, NelPolicyHeader, ParseError, \
-    Removal, NelReport, check_types, checked, group_from_dict, group_to_dict, \
-    policy_from_dict, policy_to_dict, serialize_nel_header, serialize_report_batch, \
-    serialize_report_to_header, shape
+    Removal, NelReport, check_types, checked, clear_url_memo, group_from_dict, \
+    group_to_dict, policy_from_dict, policy_to_dict, serialize_nel_header, \
+    serialize_report_batch, serialize_report_to_header, shape, split_url
 from .policy_store import PolicyStore
 from .report_engine import DELIVERED, ReferrerMode, ReportEngine, RequestOutcome, \
     TransportResult, UNREACHABLE
@@ -178,9 +177,19 @@ class TraceEvent:
         return f"TraceEvent(kind={self.kind!r}, at={self.at!r}, data={self.data!r})"
 
 
-# One event's members as ``json.dumps(..., indent=2, sort_keys=True)`` lays
-# them out at depth 2. With ``indent`` unset, ``json`` uses its C encoder.
-_encode_event = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+# With ``indent`` unset, ``json`` uses its C encoder. No encoded scalar holds a
+# raw newline, so a list of scalars encodes to one line per scalar.
+_encode_scalars = json.JSONEncoder(separators=("\n", ":")).encode
+_WRITE_BATCH = 256
+
+
+def _event_template(keys: tuple[str, ...]) -> str:
+    """The :meth:`str.format` layout of an event with data keys ``keys``; field ``i``
+    is the ``i``-th of ``(kind, at, *values)``, and a data key ``kind`` or ``at`` wins."""
+    slots = dict(zip(("kind", "at", *keys), range(len(keys) + 2)))
+    members = ",\n      ".join(json.dumps(key).replace("{", "{{").replace("}", "}}")
+                               + f": {{{slot}}}" for key, slot in sorted(slots.items()))
+    return "\n    {{\n      " + members + "\n    }},"
 
 
 class ScenarioTrace:
@@ -207,16 +216,38 @@ class ScenarioTrace:
 
     def to_json(self) -> str:
         """The document ``json.dumps(..., indent=2, sort_keys=True)`` gives,
-        byte for byte; relies on events holding only scalars.
+        byte for byte; a member that is an array or an object raises
+        ``ValueError`` naming the event and the member.
 
-        The document is joined once from a flat list of its pieces, so no
-        partial copy of it is ever built.
+        Each batch of events has its scalars encoded in one encoder call. The
+        document is joined once from one piece per event.
         """
         parts = ['{\n  "events": [']
-        for event in self.events:
-            parts += ("\n    {\n      ", _encode_event(event.to_dict())[1:-1], "\n    },")
-        if self.events:
-            parts[-1] = "\n    }\n  "
+        events = self.events
+        templates: dict[tuple[str, ...], str] = {}
+        for first in range(0, len(events), _WRITE_BATCH):
+            batch = events[first:first + _WRITE_BATCH]
+            scalars = []
+            for event in batch:
+                scalars += (event.kind, event.at, *event._values)
+            text = _encode_scalars(scalars)
+            # A container, and only a container, starts a line with [ or {.
+            if "\n[" in text or "\n{" in text or text[1] in "[{":
+                raise ValueError(next(
+                    f"events[{index}].{member} must be a JSON scalar"
+                    for index, event in enumerate(batch, first) for member, value in
+                    (("kind", event.kind), ("at", event.at), *zip(event._keys, event._values))
+                    if isinstance(value, (list, tuple, dict))))
+            pieces = text[1:-1].split("\n")
+            end = 0
+            for event in batch:
+                keys = event._keys
+                start, end = end, end + 2 + len(keys)
+                if (template := templates.get(keys)) is None:
+                    template = templates[keys] = _event_template(keys)
+                parts.append(template.format(*pieces[start:end]))
+        if events:
+            parts[-1] = parts[-1][:-1] + "\n  "
         parts.append(f'],\n  "name": {json.dumps(self.name)},\n'
                      f'  "seed": {json.dumps(self.seed)}\n}}\n')
         return "".join(parts)
@@ -361,9 +392,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return config
 
 
-def _split_visit_url(visit: Visit, label: str, url: str) -> SplitResult:
+def _split_visit_url(visit: Visit, label: str, url: str) -> tuple:
     try:
-        return urlsplit(url)
+        return split_url(url)
     except ValueError as exc:
         raise ConfigError(f"visit at {visit.at}: {label} {url!r} "
                           f"does not parse: {exc}") from None
@@ -387,7 +418,7 @@ def validate_config(config: ScenarioConfig) -> None:
             raise ConfigError(f"visit at {visit.at} to {visit.url!r} is out of order")
         if visit.agent not in known:
             raise ConfigError(f"visit at {visit.at}: unknown agent {visit.agent!r}")
-        host = _split_visit_url(visit, "URL", visit.url).hostname
+        host = _split_visit_url(visit, "URL", visit.url)[1]
         _split_visit_url(visit, "referrer", visit.referrer)
         if not host:
             raise ConfigError(f"visit at {visit.at}: URL {visit.url!r} has no host")
@@ -497,7 +528,7 @@ class _World:
 
     def upload(self, agent: _Agent, url: str, reports: list[NelReport],
                now: int) -> TransportResult:
-        host = urlsplit(url).hostname or ""
+        host = split_url(url)[1]
         if not self._reachable(host, now):
             return UNREACHABLE
         collector = self.collectors.get(host)
@@ -544,8 +575,8 @@ class _World:
     def _visit(self, visit: Visit) -> None:
         agent = self.agents[visit.agent]
         now = visit.at
-        parts = urlsplit(visit.url)
-        host = sys.intern(parts.hostname or "")
+        parts, host, _ = split_url(visit.url)
+        host = sys.intern(host)
         resolved = self.dns.get(host, "")
         status = elapsed = 0
         request_headers, headers = {}, {}
@@ -615,8 +646,10 @@ class _World:
             self._drain(now)
         self._drain_before(now + DRAIN_WINDOW_MS + 1)
         # The world is cyclic garbage until the next collection; if it kept
-        # the list, writing the trace could not free the events.
+        # the list, writing the trace could not free the events. The run's
+        # URLs go with them.
         events, self.events = self.events, []
+        clear_url_memo()
         return ScenarioTrace(self.config.name, self.config.seed, events)
 
 

@@ -2,11 +2,13 @@
 
 import json
 from dataclasses import FrozenInstanceError
+from urllib.parse import urlsplit, urlunsplit
 
 import pytest
 from hypothesis import given, strategies as st
 
-from nellab.collector import CollectorConfig
+from nellab import headers
+from nellab.collector import Collector, CollectorConfig
 from nellab.headers import (
     Endpoint,
     EndpointGroup,
@@ -15,6 +17,8 @@ from nellab.headers import (
     NelReport,
     ParseError,
     REMOVAL,
+    URL_MEMO_KEY_MAX,
+    URL_MEMO_MAX,
     Removal,
     ReportBody,
     check_types,
@@ -28,10 +32,13 @@ from nellab.headers import (
     serialize_nel_header,
     serialize_report_batch,
     serialize_report_to_header,
+    split_url,
     strip_credentials,
     strip_query,
 )
-from nellab.sim import collector_from_dict, collector_to_dict
+from nellab.report_engine import apply_referrer_restriction
+from nellab.sim import builtin_scenarios, collector_from_dict, collector_to_dict, \
+    run_scenario
 
 from conftest import DEEP_HEADER, DEEP_JSON, FIG1_REPORT
 
@@ -453,3 +460,78 @@ def test_list_members_become_tuples():
 def test_parsed_policies_and_groups_are_frozen(value, attribute):
     with pytest.raises(FrozenInstanceError):
         setattr(value, attribute, 1)
+
+
+# -- the URL memo ------------------------------------------------------------------
+
+
+def fresh_strip_query(url):
+    """``strip_query`` as it was before the memo: one parse per call."""
+    if not url:
+        return url
+    parts = urlsplit(url)
+    return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+
+
+def fresh_referrer(referrer, mode):
+    """``apply_referrer_restriction`` as it was before the memo."""
+    if not referrer:
+        return referrer
+    if mode == "full":
+        if "@" not in referrer:
+            return referrer
+        netloc = urlsplit(referrer).netloc
+        return referrer.replace(netloc, netloc.rpartition("@")[2], 1)
+    if mode == "strip-path":
+        return fresh_strip_query(referrer)
+    parts = urlsplit(referrer)
+    return f"{parts.scheme}://{parts.netloc.rpartition('@')[2]}/"
+
+
+url_like = st.lists(st.sampled_from([
+    "https://", "http://", "//", "HTTPS://", "user:pw@", "@", "A.Example", "b.example",
+    ":8443", "[::1]", "[", "]", "/p", "/P", "?q=1", "#f", "%41", "é", " ", "\t", "\n",
+]), max_size=8).map("".join)
+
+
+@given(st.text() | url_like)
+def test_memoized_urls_read_as_fresh_parses_do(url):
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:
+        for _ in range(2):
+            with pytest.raises(ValueError) as refused:
+                split_url(url)
+            assert str(refused.value) == str(exc)
+        assert url not in headers._URLS
+        return
+    for _ in range(2):  # the first call may parse, the second reads the memo
+        assert split_url(url)[1] == (parts.hostname or "")
+        assert strip_query(url) == fresh_strip_query(url)
+        for mode in ("origin-only", "strip-path", "full"):
+            assert apply_referrer_restriction(url, mode) == fresh_referrer(url, mode)
+
+
+def ingest_urls(collector, urls):
+    reports = [dict(FIG1_REPORT, url=url) for url in urls]
+    for start in range(0, len(reports), 1_000):
+        collector.ingest(json.dumps(reports[start:start + 1_000]).encode(),
+                         "192.0.2.1", "ua", 0)
+
+
+def test_the_url_memo_stays_bounded_under_collector_ingest():
+    headers.clear_url_memo()
+    collector = Collector(CollectorConfig())
+    ingest_urls(collector, [f"https://a.example/{i}?q=1" for i in range(URL_MEMO_MAX + 1)])
+    assert len(headers._URLS) <= URL_MEMO_MAX
+    long_url = "https://a.example/" + "x" * URL_MEMO_KEY_MAX
+    ingest_urls(collector, [long_url, "https://a.example/after"])
+    assert len(headers._URLS) <= URL_MEMO_MAX
+    assert long_url not in headers._URLS
+    assert "https://a.example/after" in headers._URLS
+
+
+def test_a_run_leaves_the_url_memo_empty():
+    split_url("https://kept.example/")
+    run_scenario(builtin_scenarios()["fig2_chain"])
+    assert headers._URLS == {}

@@ -169,6 +169,16 @@ class TestCaptureHeaders:
                                   response_headers={"ETag": "x"})
         assert capture_headers(outcome, policy) == ({}, {})
 
+    def test_nothing_listed_reads_no_header(self):
+        class Unreadable(dict):
+            def items(self):
+                raise AssertionError("headers were read for a policy that captures none")
+
+        policy = make_store().lookup("a.example", 1).policy
+        outcome = failure_outcome(request_headers=Unreadable(Cookie="id=1"),
+                                  response_headers=Unreadable(ETag="x"))
+        assert capture_headers(outcome, policy) == ({}, {})
+
     def test_listed_header_copied(self):
         store = PolicyStore()
         nel = ('{"report_to":"g","max_age":60,'

@@ -34,6 +34,7 @@ from nellab.sim import (
     Visit,
     _SHARED_KEYS,
     _SHARED_KEYS_MAX,
+    _WRITE_BATCH,
     _World,
     _emit_config,
     builtin_scenarios,
@@ -399,6 +400,30 @@ class TestTraceWriter:
     def test_matches_the_indent_2_reference(self, name, seed, events):
         trace = ScenarioTrace(name=name, seed=seed, events=events)
         assert trace.to_json() == reference_to_json(trace)
+
+    @given(events=st.lists(st.builds(
+               TraceEvent, kind=tricky_text, at=st.integers(),
+               data=st.dictionaries(st.sampled_from(["kind", "at", "{", "}", "{0}", "%s",
+                                                     "a{b}c", "%(x)s"]) | tricky_text,
+                                    json_scalars, max_size=6)),
+               min_size=1, max_size=8),
+           extra=st.integers(min_value=1, max_value=2 * _WRITE_BATCH))
+    def test_more_events_than_a_batch_match_the_reference(self, events, extra):
+        many = [events[i % len(events)] for i in range(_WRITE_BATCH + extra)]
+        trace = ScenarioTrace(name="batches", seed=0, events=many)
+        assert trace.to_json() == reference_to_json(trace)
+
+    @pytest.mark.parametrize("value", [[], [1, "a"], (2,), {}, {"nested": 1}])
+    @pytest.mark.parametrize("index", [0, 1, _WRITE_BATCH + 1])
+    def test_writer_rejects_container_members(self, value, index):
+        events = [TraceEvent("k", i, {"a": 1, "b": "x"}) for i in range(_WRITE_BATCH + 2)]
+        events[index] = TraceEvent("k", index, {"a": 1, "b": value})
+        with pytest.raises(ValueError, match=rf"^events\[{index}\]\.b must be a JSON scalar$"):
+            ScenarioTrace("t", 0, events).to_json()
+
+    def test_writer_rejects_a_container_kind(self):
+        with pytest.raises(ValueError, match=r"^events\[0\]\.kind must be a JSON scalar$"):
+            ScenarioTrace("t", 0, [TraceEvent(["k"], 0, {})]).to_json()
 
     def test_never_reaches_the_pure_python_encoder(self, monkeypatch):
         trace = run_scenario(builtin_scenarios()["fig2_chain"])
