@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -141,13 +142,21 @@ def cmd_collect(args: argparse.Namespace) -> int:
         print(f"error: cannot bind {config.listen!r}: {exc}", file=sys.stderr)
         return 2
     host, port = server.server_address[:2]
-    print(f"collector listening on {host}:{port} ip_mode={config.ip_mode} "
-          f"log={config.log_path or '-'}", flush=True)
+    # SIGTERM, and SIGINT even when this process inherited it ignored, stop
+    # the server as Ctrl-C does, from before the banner announces it; the
+    # previous handlers come back afterwards.
+    previous = {}
     try:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous[signum] = signal.signal(signum, signal.default_int_handler)
+        print(f"collector listening on {host}:{port} ip_mode={config.ip_mode} "
+              f"log={config.log_path or '-'}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         server.server_close()
     print(f"collector stopped; {collector.stored} records", flush=True)
     return 0

@@ -20,6 +20,9 @@ for the wire shapes here and the simulator's config documents alike.
 from __future__ import annotations
 
 import json
+import re
+import threading
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from typing import Literal, NewType, Union, get_args, get_origin, get_type_hints
@@ -335,32 +338,50 @@ def serialize_report_to_header(groups: list[EndpointGroup]) -> str:
 # -- network-error report -----------------------------------------------------------
 
 
-_URLS: dict[str, tuple[SplitResult, str, str]] = {}
-clear_url_memo = _URLS.clear  # each simulator run ends with this
-URL_MEMO_MAX = 4_096
-URL_MEMO_KEY_MAX = 2_048
+class _UrlMemo(threading.local):
+    urls: dict[str, tuple[SplitResult, str, str]] | None = None
+
+
+_URL_MEMO = _UrlMemo()
+
+
+@contextmanager
+def url_memo():
+    """Keep every URL :func:`split_url` reads in this thread until the block ends.
+
+    An inner block shares the outer block's memo, and leaving the outermost
+    block drops it. Nothing is evicted inside a block, so one load or one
+    simulator run parses each distinct URL once; the block's lifetime is the
+    memo's only bound. Other threads, such as the HTTP collector's, never see it.
+    """
+    if _URL_MEMO.urls is not None:
+        yield
+        return
+    _URL_MEMO.urls = {}
+    try:
+        yield
+    finally:
+        _URL_MEMO.urls = None
 
 
 def split_url(url: str) -> tuple[SplitResult, str, str]:
     """``url``'s parts, its host (lowercased; ``""`` for none) and
-    :func:`strip_query`'s result, worked out once per distinct URL.
+    :func:`strip_query`'s result.
 
-    The memo is emptied when one more URL would make it hold more than
-    ``URL_MEMO_MAX``, and it never keeps a URL longer than ``URL_MEMO_KEY_MAX``,
-    since the HTTP collector reads client URLs up to its 1 MiB body cap. A URL
-    the URL parser refuses is never kept and raises its ``ValueError`` each time.
+    Inside a :func:`url_memo` block each distinct URL is parsed once; outside
+    one, every call parses and nothing is kept. A URL the URL parser refuses
+    is never kept and raises its ``ValueError`` each time.
     """
-    entry = _URLS.get(url)
+    urls = _URL_MEMO.urls
+    entry = None if urls is None else urls.get(url)
     if entry is None:
         parts = urlsplit(url)
         stripped = urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path,
                                "", ""))
         # Equal URLs share one stripped string, the URL itself if nothing was cut.
         entry = (parts, parts.hostname or "", url if stripped == url else stripped)
-        if len(url) <= URL_MEMO_KEY_MAX:
-            _URLS[url] = entry
-            if len(_URLS) > URL_MEMO_MAX:
-                _URLS.clear()
+        if urls is not None:
+            urls[url] = entry
     return entry
 
 
@@ -372,8 +393,20 @@ def strip_credentials(url: str) -> str:
     return url.replace(netloc, netloc.rpartition("@")[2], 1)
 
 
+# An http(s) URL of printable ASCII whose host part holds only letters, digits,
+# ".", "-" and ":". The URL parser gives such a URL, less its query and
+# fragment, as group 1.
+_PLAIN_URL = re.compile(r"(https?://[-.:0-9A-Za-z]+(?:/[!\"$->@-~]*)?)(?:[?#][!-~]*)?")
+
+
 def strip_query(url: str) -> str:
-    """``url`` without its credentials, query and fragment; an empty URL stays empty."""
+    """``url`` without its credentials, query and fragment; an empty URL stays empty.
+
+    Outside a :func:`url_memo` block, as in the HTTP collector's threads, a
+    plain http(s) URL is cut at its first ``?`` or ``#`` without being parsed.
+    """
+    if _URL_MEMO.urls is None and (plain := _PLAIN_URL.fullmatch(url)) is not None:
+        return plain[1]
     return split_url(url)[2]
 
 

@@ -268,6 +268,8 @@ class ReportEngine:
         return results
 
     def _choose_endpoint(self, task: DeliveryTask):
+        if len(task.group.endpoints) == 1:
+            return task.group.endpoints[0]
         candidates = [e for e in task.group.endpoints
                       if e.url not in task.failed_endpoints]
         if not candidates:

@@ -27,14 +27,14 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Literal
 
 from .collector import Collector, CollectorConfig, RejectError, StoredRecord
 from .headers import Endpoint, EndpointGroup, Millis, NelPolicyHeader, ParseError, \
-    Removal, NelReport, check_types, checked, clear_url_memo, group_from_dict, \
-    group_to_dict, policy_from_dict, policy_to_dict, serialize_nel_header, \
-    serialize_report_batch, serialize_report_to_header, shape, split_url
+    Removal, NelReport, check_types, checked, group_from_dict, group_to_dict, \
+    policy_from_dict, policy_to_dict, serialize_nel_header, serialize_report_batch, \
+    serialize_report_to_header, shape, split_url, url_memo
 from .policy_store import PolicyStore
 from .report_engine import DELIVERED, ReferrerMode, ReportEngine, RequestOutcome, \
     TransportResult, UNREACHABLE
@@ -183,13 +183,47 @@ _encode_scalars = json.JSONEncoder(separators=("\n", ":")).encode
 _WRITE_BATCH = 256
 
 
-def _event_template(keys: tuple[str, ...]) -> str:
-    """The :meth:`str.format` layout of an event with data keys ``keys``; field ``i``
-    is the ``i``-th of ``(kind, at, *values)``, and a data key ``kind`` or ``at`` wins."""
+def _event_layout(keys: tuple[str, ...]) -> tuple[itemgetter, list[str | None]]:
+    """How an event with data keys ``keys`` is written: a getter that orders
+    ``(kind, at, *values)`` as ``sort_keys`` orders the members (a data key
+    ``kind`` or ``at`` wins), and the event's text with a ``None`` slot after
+    each member's name for its value.
+
+    The text starts by closing the previous event, which the document drops
+    from its first event.
+    """
     slots = dict(zip(("kind", "at", *keys), range(len(keys) + 2)))
-    members = ",\n      ".join(json.dumps(key).replace("{", "{{").replace("}", "}}")
-                               + f": {{{slot}}}" for key, slot in sorted(slots.items()))
-    return "\n    {{\n      " + members + "\n    }},"
+    members = sorted(slots.items())
+    text = []
+    for key, _ in members:
+        text += [",\n      " + json.dumps(key) + ": ", None]
+    text[0] = "\n    },\n    {" + text[0].removeprefix(",")
+    return itemgetter(*(slot for _, slot in members)), text
+
+
+def _event_texts(events: list[TraceEvent], first: int, layouts: dict) -> list[str]:
+    """The text of each event in the batch that starts at ``events[first]``,
+    with its scalars encoded in one encoder call; ``layouts`` caches
+    :func:`_event_layout` by key sequence."""
+    batch = events[first:first + _WRITE_BATCH]
+    scalars, text, ends = [], [], []
+    for event in batch:
+        if (layout := layouts.get(event._keys)) is None:
+            layout = layouts[event._keys] = _event_layout(event._keys)
+        getter, event_text = layout
+        scalars += getter((event.kind, event.at, *event._values))
+        text += event_text
+        ends.append(len(text))
+    encoded = _encode_scalars(scalars)
+    # A container, and only a container, starts a line with [ or {.
+    if "\n[" in encoded or "\n{" in encoded or encoded[1] in "[{":
+        raise ValueError(next(
+            f"events[{index}].{member} must be a JSON scalar"
+            for index, event in enumerate(batch, first) for member, value in
+            (("kind", event.kind), ("at", event.at), *zip(event._keys, event._values))
+            if isinstance(value, (list, tuple, dict))))
+    text[1::2] = encoded[1:-1].split("\n")
+    return ["".join(text[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 class ScenarioTrace:
@@ -219,35 +253,18 @@ class ScenarioTrace:
         byte for byte; a member that is an array or an object raises
         ``ValueError`` naming the event and the member.
 
-        Each batch of events has its scalars encoded in one encoder call. The
-        document is joined once from one piece per event.
+        Each batch of events has its scalars encoded in one encoder call and
+        slotted into each event's text from :func:`_event_layout`; no format
+        call is made. The document is joined once from one piece per event.
         """
         parts = ['{\n  "events": [']
         events = self.events
-        templates: dict[tuple[str, ...], str] = {}
+        layouts: dict[tuple[str, ...], tuple[itemgetter, list[str | None]]] = {}
         for first in range(0, len(events), _WRITE_BATCH):
-            batch = events[first:first + _WRITE_BATCH]
-            scalars = []
-            for event in batch:
-                scalars += (event.kind, event.at, *event._values)
-            text = _encode_scalars(scalars)
-            # A container, and only a container, starts a line with [ or {.
-            if "\n[" in text or "\n{" in text or text[1] in "[{":
-                raise ValueError(next(
-                    f"events[{index}].{member} must be a JSON scalar"
-                    for index, event in enumerate(batch, first) for member, value in
-                    (("kind", event.kind), ("at", event.at), *zip(event._keys, event._values))
-                    if isinstance(value, (list, tuple, dict))))
-            pieces = text[1:-1].split("\n")
-            end = 0
-            for event in batch:
-                keys = event._keys
-                start, end = end, end + 2 + len(keys)
-                if (template := templates.get(keys)) is None:
-                    template = templates[keys] = _event_template(keys)
-                parts.append(template.format(*pieces[start:end]))
+            parts += _event_texts(events, first, layouts)
         if events:
-            parts[-1] = parts[-1][:-1] + "\n  "
+            parts[1] = parts[1][len("\n    },"):]
+            parts.append("\n    }\n  ")
         parts.append(f'],\n  "name": {json.dumps(self.name)},\n'
                      f'  "seed": {json.dumps(self.seed)}\n}}\n')
         return "".join(parts)
@@ -367,13 +384,15 @@ def collector_from_dict(data, where: str = "collector") -> CollectorConfig:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+@url_memo()
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Load a scenario document; the inverse of :func:`config_to_dict`.
 
     Omitted members take the dataclass defaults. An unknown or missing
     member, a container this walks that has the wrong type, or a collector
     document :func:`collector_from_dict` refuses raises :class:`ConfigError`
-    naming the entry; :func:`validate_config` checks the rest.
+    naming the entry; :func:`validate_config` checks the rest. The load
+    parses each distinct URL once, in one :func:`url_memo` block.
     """
     config = _load(ScenarioConfig, data, "scenario")
     config.servers = {host: _load(ServerSpec, s, f"scenario.servers[{host!r}]")
@@ -646,15 +665,17 @@ class _World:
             self._drain(now)
         self._drain_before(now + DRAIN_WINDOW_MS + 1)
         # The world is cyclic garbage until the next collection; if it kept
-        # the list, writing the trace could not free the events. The run's
-        # URLs go with them.
+        # the list, writing the trace could not free the events.
         events, self.events = self.events, []
-        clear_url_memo()
         return ScenarioTrace(self.config.name, self.config.seed, events)
 
 
+@url_memo()
 def run_scenario(config: ScenarioConfig) -> ScenarioTrace:
-    """Execute one scenario; the trace is a pure function of the config."""
+    """Execute one scenario; the trace is a pure function of the config.
+
+    The run parses each distinct URL once, in one :func:`url_memo` block.
+    """
     return _World(config).run()
 
 

@@ -626,6 +626,31 @@ class TestCollectCommand:
                     process.kill()
                     process.wait()
 
+    @pytest.mark.parametrize("signum, start", [
+        (signal.SIGTERM, []),
+        # A shell's background job starts with SIGINT ignored, and exec keeps that.
+        (signal.SIGINT, ["-c", "import os, signal, sys; "
+                               "signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                               "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])"]),
+    ], ids=["sigterm", "sigint-inherited-ignored"])
+    def test_stops_cleanly_on_signal(self, tmp_path, signum, start):
+        config = tmp_path / "collector.json"
+        config.write_text(json.dumps({"listen": "127.0.0.1:0"}))
+        with subprocess.Popen(
+                [sys.executable, *start, "-m", "nellab.cli", "collect",
+                 "--config", str(config)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as process:
+            try:
+                assert "collector listening on" in process.stdout.readline()
+                process.send_signal(signum)
+                out, err = process.communicate(timeout=10)
+                assert (process.returncode, err) == (0, "")
+                assert "collector stopped; 0 records" in out
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+
 
 class TestReadOnlyInvariant:
     def test_audit_and_scenario_never_listen(self, tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """Header codec: NEL / Report-To values and the report-batch body."""
 
 import json
+import re
+import threading
 from dataclasses import FrozenInstanceError
 from urllib.parse import urlsplit, urlunsplit
 
@@ -17,8 +19,6 @@ from nellab.headers import (
     NelReport,
     ParseError,
     REMOVAL,
-    URL_MEMO_KEY_MAX,
-    URL_MEMO_MAX,
     Removal,
     ReportBody,
     check_types,
@@ -35,10 +35,12 @@ from nellab.headers import (
     split_url,
     strip_credentials,
     strip_query,
+    url_memo,
 )
 from nellab.report_engine import apply_referrer_restriction
-from nellab.sim import builtin_scenarios, collector_from_dict, collector_to_dict, \
-    run_scenario
+from nellab.sim import AgentSpec, PathSpec, ScenarioConfig, ServerSpec, Visit, \
+    builtin_scenarios, collector_from_dict, collector_to_dict, config_from_dict, \
+    config_to_dict, run_scenario
 
 from conftest import DEEP_HEADER, DEEP_JSON, FIG1_REPORT
 
@@ -496,20 +498,21 @@ url_like = st.lists(st.sampled_from([
 
 @given(st.text() | url_like)
 def test_memoized_urls_read_as_fresh_parses_do(url):
-    try:
-        parts = urlsplit(url)
-    except ValueError as exc:
-        for _ in range(2):
-            with pytest.raises(ValueError) as refused:
-                split_url(url)
-            assert str(refused.value) == str(exc)
-        assert url not in headers._URLS
-        return
-    for _ in range(2):  # the first call may parse, the second reads the memo
-        assert split_url(url)[1] == (parts.hostname or "")
-        assert strip_query(url) == fresh_strip_query(url)
-        for mode in ("origin-only", "strip-path", "full"):
-            assert apply_referrer_restriction(url, mode) == fresh_referrer(url, mode)
+    with url_memo():
+        try:
+            parts = urlsplit(url)
+        except ValueError as exc:
+            for _ in range(2):
+                with pytest.raises(ValueError) as refused:
+                    split_url(url)
+                assert str(refused.value) == str(exc)
+            assert url not in headers._URL_MEMO.urls
+            return
+        for _ in range(2):  # the first call may parse, the second reads the memo
+            assert split_url(url)[1] == (parts.hostname or "")
+            assert strip_query(url) == fresh_strip_query(url)
+            for mode in ("origin-only", "strip-path", "full"):
+                assert apply_referrer_restriction(url, mode) == fresh_referrer(url, mode)
 
 
 def ingest_urls(collector, urls):
@@ -519,19 +522,102 @@ def ingest_urls(collector, urls):
                          "192.0.2.1", "ua", 0)
 
 
-def test_the_url_memo_stays_bounded_under_collector_ingest():
-    headers.clear_url_memo()
+@pytest.fixture
+def urlsplit_calls(monkeypatch):
+    """Every URL the header codec hands the URL parser, in call order."""
+    calls = []
+
+    def counting_urlsplit(url, *args):
+        calls.append(url)
+        return urlsplit(url, *args)
+
+    monkeypatch.setattr(headers, "urlsplit", counting_urlsplit)
+    return calls
+
+
+def test_ingest_outside_a_run_keeps_no_url(urlsplit_calls):
     collector = Collector(CollectorConfig())
-    ingest_urls(collector, [f"https://a.example/{i}?q=1" for i in range(URL_MEMO_MAX + 1)])
-    assert len(headers._URLS) <= URL_MEMO_MAX
-    long_url = "https://a.example/" + "x" * URL_MEMO_KEY_MAX
-    ingest_urls(collector, [long_url, "https://a.example/after"])
-    assert len(headers._URLS) <= URL_MEMO_MAX
-    assert long_url not in headers._URLS
-    assert "https://a.example/after" in headers._URLS
+    urls = [f"https://user@a.example/{i}?q=1" for i in range(100)]  # not plain: parsed
+    ingest_urls(collector, urls)
+    first = len(urlsplit_calls)
+    ingest_urls(collector, urls)
+    assert first >= len(urls)
+    assert len(urlsplit_calls) == 2 * first
+    assert headers._URL_MEMO.urls is None
 
 
-def test_a_run_leaves_the_url_memo_empty():
-    split_url("https://kept.example/")
-    run_scenario(builtin_scenarios()["fig2_chain"])
-    assert headers._URLS == {}
+@given(st.text() | url_like)
+def test_strip_query_outside_a_memo_reads_as_a_fresh_parse(url):
+    try:
+        expected = fresh_strip_query(url)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            strip_query(url)
+    else:
+        assert strip_query(url) == expected
+
+
+def test_ingest_cuts_plain_urls_without_a_parse(urlsplit_calls):
+    stored = []
+    urls = [f"https://a.example:8443/p/{i}?q={i}#f" for i in range(100)]
+    ingest_urls(Collector(CollectorConfig(), sink=stored.extend), urls)
+    assert urlsplit_calls == []
+    assert [record.report.url for record in stored] == \
+        [f"https://a.example:8443/p/{i}" for i in range(100)]
+
+
+def test_a_run_and_a_load_leave_no_url_memo():
+    config = builtin_scenarios()["fig2_chain"]
+    run_scenario(config)
+    assert headers._URL_MEMO.urls is None
+    config_from_dict(config_to_dict(config))
+    assert headers._URL_MEMO.urls is None
+
+
+def test_an_inner_url_memo_block_shares_the_outer_memo():
+    with url_memo():
+        split_url("https://kept.example/")
+        run_scenario(builtin_scenarios()["fig2_chain"])
+        assert "https://kept.example/" in headers._URL_MEMO.urls
+        assert "https://c.example/up" in headers._URL_MEMO.urls
+    assert headers._URL_MEMO.urls is None
+
+
+def test_a_run_parses_each_distinct_url_once(urlsplit_calls):
+    visits = 5_000  # more distinct URLs than the memo's old 4,096-URL cap
+    config = ScenarioConfig(
+        agents=[AgentSpec(name="browser")],
+        dns={"a.example": "192.0.2.10", "c.example": "192.0.2.20"},
+        servers={
+            "a.example": ServerSpec(ip="192.0.2.10", paths={"/": PathSpec(headers={
+                "NEL": '{"report_to":"c","max_age":86400,"success_fraction":1.0}',
+                "Report-To": '{"group":"c","max_age":86400,'
+                             '"endpoints":[{"url":"https://c.example/up"}]}'})}),
+            "c.example": ServerSpec(ip="192.0.2.20"),
+        },
+        collectors={"c.example": CollectorConfig()},
+        visits=[Visit(at=1_000 * (i + 1), agent="browser",
+                      url=f"https://a.example/p{i}?q={i}",
+                      referrer=f"https://a.example/r{i}")
+                for i in range(visits)])
+    trace = run_scenario(config)
+    assert sum(event.kind == "report_stored" for event in trace.events) == visits
+    assert len(set(urlsplit_calls)) > 2 * visits
+    assert len(urlsplit_calls) == len(set(urlsplit_calls))
+
+
+def test_ingest_in_another_thread_adds_nothing_to_an_open_memo():
+    done = []
+
+    def ingest():
+        ingest_urls(Collector(CollectorConfig()), [f"https://a.example/{i}" for i in range(10)])
+        done.append(True)
+
+    with url_memo():
+        split_url("https://kept.example/")
+        thread = threading.Thread(target=ingest)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert done == [True]
+        assert list(headers._URL_MEMO.urls) == ["https://kept.example/"]

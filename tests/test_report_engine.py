@@ -255,6 +255,17 @@ class TestDelivery:
         assert transport.calls[1][1] == "https://backup.example/up"
         assert engine.pending() == []
 
+    def test_a_one_endpoint_group_retries_its_endpoint_without_a_draw(self):
+        engine = ReportEngine(make_store(), random.Random(0))
+        task = engine.observe(failure_outcome(), 1_000)
+        state = engine.rng.getstate()
+        transport = recording_transport({"https://c.example/up": UNREACHABLE})
+        assert engine.deliver_due(1_000, transport) == [UNREACHABLE]
+        assert task.failed_endpoints == {"https://c.example/up"}
+        assert engine.deliver_due(61_000, transport) == [UNREACHABLE]
+        assert [url for _, url, _ in transport.calls] == ["https://c.example/up"] * 2
+        assert engine.rng.getstate() == state
+
     def test_age_grows_across_retries(self):
         engine = ReportEngine(make_store(), ScriptedRng([0.0]))
         task = engine.observe(failure_outcome(), 1_000)
